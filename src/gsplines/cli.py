@@ -39,7 +39,7 @@ def _emit(args, text_out: str, json_obj) -> None:
         print(text_out)
 
 
-def _vertex_order(args, g):
+def _vertex_order(args):
     if getattr(args, "vertex_order", None):
         return [v.strip() for v in args.vertex_order.split(",")]
     return None
@@ -47,7 +47,7 @@ def _vertex_order(args, g):
 
 def cmd_basis(args) -> int:
     g = formats.load_graph(args.input)
-    order = _vertex_order(args, g)
+    order = _vertex_order(args)
     if args.incremental:
         module, traces = incremental_assembled(g, order)
         trace_text = "\n".join(formats.render_trace_text(g, t) for t in traces)
@@ -75,14 +75,23 @@ def cmd_verify(args) -> int:
     )
     direct = spline_set(solve_direct(gn))
     incremental = spline_set(incremental_assembled(gn)[0])
-    if brute == direct == incremental:
-        print(f"brute force = direct = incremental: {len(brute)} splines")
-        return 0
-    print(
-        "MISMATCH: "
-        f"brute force {len(brute)}, direct {len(direct)}, incremental {len(incremental)}"
-    )
-    return 1
+    agree = brute == direct == incremental
+    if agree:
+        text = f"brute force = direct = incremental: {len(brute)} splines"
+    else:
+        text = (
+            "MISMATCH: "
+            f"brute force {len(brute)}, direct {len(direct)}, incremental {len(incremental)}"
+        )
+    payload = {
+        "modulus": args.mod,
+        "bruteForce": len(brute),
+        "direct": len(direct),
+        "incremental": len(incremental),
+        "agree": agree,
+    }
+    _emit(args, text, payload)
+    return 0 if agree else 1
 
 
 def cmd_restrict(args) -> int:
@@ -112,12 +121,7 @@ def cmd_cover(args) -> int:
     g = formats.load_graph(args.input)
     opens = formats.load_opens(args.opens, g.ring)
     cover = check_cover(g.ring, opens)
-    text = f"cover status: {cover.status}"
-    if cover.status == "FailsToCover" and cover.detail:
-        text += f" (common factor {cover.detail})"
-    elif cover.detail:
-        text += f" ({cover.detail})"
-    _emit(args, text, formats.cover_to_json(cover, g.ring))
+    _emit(args, formats.render_cover_text(cover), formats.cover_to_json(cover, g.ring))
     return 0
 
 

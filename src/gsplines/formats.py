@@ -428,6 +428,15 @@ def certificate_to_json(report: CertificateReport, ring: RingDescriptor) -> dict
     }
 
 
+def render_cover_text(cover: CoverStatus) -> str:
+    line = f"cover status: {cover.status}"
+    if cover.status == "FailsToCover" and cover.detail:
+        line += f" (common factor {cover.detail})"
+    elif cover.detail:
+        line += f" ({cover.detail})"
+    return line
+
+
 def render_certificate_text(report: CertificateReport) -> str:
     lines = []
     for name, outcome in report.per_open:
@@ -436,13 +445,7 @@ def render_certificate_text(report: CertificateReport) -> str:
             f"open {name}: {kind}; trivialized {len(outcome.trivialized_edges)} edge(s),"
             f" {len(outcome.graph.edges)} left"
         )
-    cover = report.cover
-    line = f"cover status: {cover.status}"
-    if cover.status == "FailsToCover" and cover.detail:
-        line += f" (common factor {cover.detail})"
-    elif cover.detail:
-        line += f" ({cover.detail})"
-    lines.append(line)
+    lines.append(render_cover_text(report.cover))
     lines.append(f"verdict: {report.verdict}")
     return "\n".join(lines)
 

@@ -22,6 +22,7 @@ from .rings import (
     RingDescriptor,
     canonical_key,
     check_element,
+    edge_modulus,
     factored_from_residue,
 )
 
@@ -31,9 +32,6 @@ class Edge:
     a: str
     b: str
     label: FactoredElement
-
-    def pair(self) -> Tuple[str, str]:
-        return (self.a, self.b)
 
     def touches(self, v: str) -> bool:
         return v == self.a or v == self.b
@@ -83,12 +81,9 @@ def _intersect_labels(
     if l1.is_zero or l2.is_zero:
         return FactoredElement.zero()
     if ring.kind == MODINT:
-        n = ring.modulus
-        v1 = l1.expand(ring)
-        v2 = l2.expand(ring)
-        g1 = math.gcd(v1.value, n) or n
-        g2 = math.gcd(v2.value, n) or n
-        return factored_from_residue(math.lcm(g1, g2), ring)
+        return factored_from_residue(
+            math.lcm(edge_modulus(l1, ring), edge_modulus(l2, ring)), ring
+        )
     merged: Dict[object, Factor] = {}
     for f in list(l1.factors) + list(l2.factors):
         key = canonical_key(f.element)

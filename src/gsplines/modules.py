@@ -10,6 +10,15 @@ all splines is computed three independent ways:
   leaf vertex or imposing one further congruence on coefficients,
 * ``enumerate_bruteforce`` lists every labeling over a residue ring.
 
+The solvers compute over a Euclidean ring: ``Int``, univariate ``Q[x]``,
+or ``Int`` for the residue ring ``Z/n``.  A residue ring enters through the
+lift helpers below: each edge becomes the integer congruence ``n_e | d``
+with ``n_e = edge_modulus(label)``, a divisor of ``n`` (``_edge_generator``),
+and each residue its representative in ``[0, n)``.  It leaves in one place,
+``_canonical``: the integer rows, completed by ``n`` times each coordinate
+vector, are put in Hermite form and reduced modulo ``n``.  Every other step
+is the same on every ring.
+
 Bases are kept in flow-up (Hermite) form with respect to a fixed vertex
 order: row ``i`` vanishes on the vertices before its pivot, pivots are
 normalized associates, and entries above a pivot are reduced modulo it.
@@ -19,26 +28,23 @@ That form is unique, which makes golden tests possible.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DisconnectedInput, TooLarge, UnsupportedRing
-from .graphs import Edge, EdgeLabeledGraph, connected_components, normalize
+from .graphs import Edge, EdgeLabeledGraph, connected_components
 from .rings import (
     INT,
     MODINT,
     POLYQ,
-    VERIFIED,
-    Factor,
     FactoredElement,
     Residue,
     RingDescriptor,
     RingElement,
     coerce,
+    edge_modulus,
     exact_divide,
     extended_gcd,
-    factor_integer,
     format_element,
     is_unit,
     is_zero_element,
@@ -139,13 +145,42 @@ class MembershipResult:
 
 
 # ---------------------------------------------------------------------------
-# the congruence check
+# the way in: the ring the solvers compute in
 
 
-def _edge_generator(e: Edge, ring: RingDescriptor) -> RingElement:
-    """Expanded label with inverted factors stripped (they are units)."""
-    label = e.label
-    if ring.inverted and not label.is_zero:
+def _work_ring(ring: RingDescriptor) -> RingDescriptor:
+    """``Int`` for a residue ring, the ring itself otherwise."""
+    return RingDescriptor.integers() if ring.kind == MODINT else ring
+
+
+def _lift_value(x, ring: RingDescriptor) -> RingElement:
+    """A value of ``ring`` as an element of ``_work_ring(ring)``."""
+    x = coerce(x, ring)
+    return x.value if isinstance(x, Residue) else x
+
+
+def _lift_rows(rows: Sequence[Vector], ring: RingDescriptor) -> Sequence[Vector]:
+    """A module's rows over ``_work_ring(ring)``; residues become their
+    representatives in ``[0, n)``."""
+    if ring.kind != MODINT:
+        return rows
+    return [tuple(x.value for x in row) for row in rows]
+
+
+def _edge_generator(label: FactoredElement, ring: RingDescriptor) -> RingElement:
+    """The edge ideal's generator in ``_work_ring(ring)``.
+
+    Inverted factors are stripped (they are units).  A nonzero residue
+    label becomes the integer modulus it imposes; a zero label stays zero
+    (equality), which is the same congruence once ``_canonical`` adjoins
+    ``n`` times each coordinate vector, and for ``gkm_check``, whose lifted
+    values lie in ``[0, n)``.
+    """
+    if label.is_zero:
+        return _work_ring(ring).zero()
+    if ring.kind == MODINT:
+        return edge_modulus(label, ring)
+    if ring.inverted:
         label = label.without(ring.inverted_elements(), ring)
     return label.expand(ring)
 
@@ -153,24 +188,14 @@ def _edge_generator(e: Edge, ring: RingDescriptor) -> RingElement:
 def gkm_check(g: EdgeLabeledGraph, s: Spline) -> bool:
     """Whether the labeling satisfies every edge congruence."""
     ring = g.ring
+    work = _work_ring(ring)
     for e in g.edges:
-        d = coerce(s.values[e.a], ring) - coerce(s.values[e.b], ring)
-        if e.label.is_zero:
-            if not is_zero_element(d):
-                return False
-            continue
-        if ring.kind == MODINT:
-            m = math.gcd(e.label.expand(ring).value, ring.modulus)
-            if m == 0:
-                m = ring.modulus
-            if d.value % m:
-                return False
-            continue
-        gen = _edge_generator(e, ring)
+        d = _lift_value(s.values[e.a], ring) - _lift_value(s.values[e.b], ring)
+        gen = _edge_generator(e.label, ring)
         if is_zero_element(gen):
             if not is_zero_element(d):
                 return False
-        elif exact_divide(d, gen, ring) is None:
+        elif exact_divide(d, gen, work) is None:
             return False
     return True
 
@@ -287,12 +312,43 @@ def _kernel_basis(rows: Sequence[Vector], ncols: int, ring: RingDescriptor) -> L
 
 
 # ---------------------------------------------------------------------------
+# the way out: one canonical form
+
+
+def _canonical(
+    g: EdgeLabeledGraph, order: Sequence[str], rows: Iterable[Vector]
+) -> SplineModule:
+    """The flow-up module of ``g`` generated by ``rows`` over the work ring.
+
+    Over ``Z/n`` the integer rows are completed by ``n`` times each
+    coordinate vector, put in Hermite form over the integers and reduced
+    modulo ``n``.  Rows whose pivot is ``n`` are exactly those adjoined
+    vectors; they vanish modulo ``n`` and are dropped.
+    """
+    ring = g.ring
+    width = len(order)
+    if ring.kind != MODINT:
+        hrows, pivots = hermite_rows(rows, width, ring)
+        return SplineModule(g, tuple(order), hrows, pivots)
+    n = ring.modulus
+    full = list(rows) + [
+        tuple(n if j == i else 0 for j in range(width)) for i in range(width)
+    ]
+    hrows, pivots = hermite_rows(full, width, RingDescriptor.integers())
+    kept = [(row, p) for row, p in zip(hrows, pivots) if row[p] % n]
+    return SplineModule(
+        g,
+        tuple(order),
+        tuple(tuple(Residue(x, n) for x in row) for row, _ in kept),
+        tuple(p for _, p in kept),
+    )
+
+
+# ---------------------------------------------------------------------------
 # direct solver
 
 
-def _component_rows(
-    comp: EdgeLabeledGraph, order: Sequence[str], ring: RingDescriptor
-) -> List[Vector]:
+def _component_rows(comp: EdgeLabeledGraph, order: Sequence[str]) -> List[Vector]:
     """Generators of the spline module of one connected component.
 
     The system couples a value per vertex with one slack per nonzero label:
@@ -300,6 +356,7 @@ def _component_rows(
     spline module is the projection of that system's kernel onto the vertex
     coordinates.
     """
+    ring = _work_ring(comp.ring)
     col_of = {v: i for i, v in enumerate(order)}
     nV = len(order)
     slack = [e for e in comp.edges if not e.label.is_zero]
@@ -313,7 +370,7 @@ def _component_rows(
         row[col_of[e.a]] = one
         row[col_of[e.b]] = -one
         if not e.label.is_zero:
-            row[slack_col[id(e)]] = -_edge_generator(e, ring)
+            row[slack_col[id(e)]] = -_edge_generator(e.label, comp.ring)
         rows.append(tuple(row))
     if not rows:
         return [tuple(one if j == i else zero for j in range(nV)) for i in range(nV)]
@@ -335,75 +392,24 @@ def solve_direct(
 ) -> SplineModule:
     """Flow-up basis of the spline module, solved per connected component.
 
-    Residue rings are handled by lifting the labels to the integers,
-    adjoining ``n`` times each coordinate vector, and reducing the Hermite
-    basis modulo ``n``.
+    Each component's congruences are solved as a kernel over the work ring
+    (the integers with edge moduli for a residue ring); the assembled rows
+    leave through ``_canonical``.
     """
     order = _check_vertex_order(g, vertex_order)
-    ring = g.ring
-    if ring.kind == MODINT:
-        return _solve_modint(g, order)
+    ring = _work_ring(g.ring)
     _require_euclidean_ring(ring, "basis computation")
     rows: List[Vector] = []
     zero = ring.zero()
     global_col = {v: i for i, v in enumerate(order)}
     for comp in connected_components(g):
         comp_order = [v for v in order if v in set(comp.vertices)]
-        for vec in _component_rows(comp, comp_order, ring):
+        for vec in _component_rows(comp, comp_order):
             row = [zero] * len(order)
             for v, x in zip(comp_order, vec):
                 row[global_col[v]] = x
             rows.append(tuple(row))
-    hrows, pivots = hermite_rows(rows, len(order), ring)
-    return SplineModule(g, tuple(order), hrows, pivots)
-
-
-def _lift_graph(g: EdgeLabeledGraph) -> EdgeLabeledGraph:
-    """Residue labels reinterpreted over the integers (expanded values)."""
-    ring = RingDescriptor.integers()
-    edges = []
-    for e in g.edges:
-        if e.label.is_zero:
-            label = FactoredElement.zero()
-        else:
-            value = e.label.expand(g.ring).value
-            if value == 0:
-                label = FactoredElement.zero()
-            else:
-                label = FactoredElement(
-                    tuple(Factor(p, m, VERIFIED) for p, m in factor_integer(value))
-                )
-        edges.append((e.a, e.b, label))
-    return normalize(ring, g.vertices, edges)
-
-
-def _reduce_rows_mod(rows: Sequence[Vector], order, g: EdgeLabeledGraph) -> SplineModule:
-    n = g.ring.modulus
-    zring = RingDescriptor.integers()
-    width = len(order)
-    full = list(rows) + [
-        tuple(n if j == i else 0 for j in range(width)) for i in range(width)
-    ]
-    hrows, pivots = hermite_rows(full, width, zring)
-    out_rows = []
-    out_pivots = []
-    for row, p in zip(hrows, pivots):
-        reduced = tuple(Residue(x, n) for x in row)
-        if all(x.value == 0 for x in reduced):
-            continue
-        if reduced[p].value == 0:
-            # The pivot vanished modulo n but later entries survive; such a
-            # row cannot occur for Hermite rows with pivots dividing n.
-            continue
-        out_rows.append(reduced)
-        out_pivots.append(p)
-    return SplineModule(g, tuple(order), tuple(out_rows), tuple(out_pivots))
-
-
-def _solve_modint(g: EdgeLabeledGraph, order) -> SplineModule:
-    lifted = _lift_graph(g)
-    module = solve_direct(lifted, order)
-    return _reduce_rows_mod(module.rows, order, g)
+    return _canonical(g, order, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +452,71 @@ def _as_edge_list(g: EdgeLabeledGraph, order) -> List[Edge]:
     return edges
 
 
+def _step(
+    built: Tuple[str, ...],
+    rows: Tuple[Vector, ...],
+    a: str,
+    b: str,
+    label: FactoredElement,
+    ring: RingDescriptor,
+) -> Step:
+    """Insert the edge ``a``-``b`` into the module ``rows`` on ``built``.
+
+    An edge to a fresh vertex extends every generator by its value at the
+    attachment vertex and adjoins the generator supported on the new vertex
+    alone; an edge between built vertices imposes one congruence on
+    coefficient vectors, solved as the kernel of a single row.
+    """
+    work = _work_ring(ring)
+    zero = work.zero()
+    gen = _edge_generator(label, ring)
+    if a in built and b in built:
+        iu, iv = built.index(a), built.index(b)
+        constraint = tuple(row[iu] - row[iv] for row in rows) + (gen,)
+        combos = []
+        for vec in _kernel_basis([constraint], len(rows) + 1, work):
+            combo = [zero] * len(built)
+            for c, row in zip(vec[: len(rows)], rows):
+                combo = [acc + c * x for acc, x in zip(combo, row)]
+            combos.append(tuple(combo))
+        matrix, _ = hermite_rows(combos, len(built), work)
+        return EdgeEqualizer(a, b, label, built, matrix)
+    if a in built or b in built:
+        attach, new = (a, b) if a in built else (b, a)
+        ia = built.index(attach)
+        extended = [row + (row[ia],) for row in rows]
+        extended.append(tuple([zero] * len(built) + [gen]))
+        after = built + (new,)
+        matrix, _ = hermite_rows(extended, len(after), work)
+        return LeafPullback(new, attach, label, after, matrix)
+    raise DisconnectedInput(f"edge {a!r}-{b!r} does not touch the component built so far")
+
+
+def _grow(
+    g: EdgeLabeledGraph,
+    order: Optional[Sequence[Tuple[str, str]]],
+    vertex_order: Sequence[str],
+) -> Tuple[List[Vector], LimitTrace]:
+    """Work-ring rows of a connected graph's module in ``vertex_order``
+    coordinates, not yet canonical, and the trace that produced them."""
+    ring = _work_ring(g.ring)
+    _require_euclidean_ring(ring, "the incremental builder")
+    edges = _as_edge_list(g, order)
+    if not g.vertices:
+        return [], LimitTrace(None, ())
+    start = edges[0].a if edges else g.vertices[0]
+    built: Tuple[str, ...] = (start,)
+    rows: Tuple[Vector, ...] = ((ring.one(),),)
+    steps: List[Step] = []
+    for e in edges:
+        step = _step(built, rows, e.a, e.b, e.label, g.ring)
+        steps.append(step)
+        built, rows = step.vertices_after, step.matrix_after
+    col = {v: i for i, v in enumerate(built)}
+    out = [tuple(row[col[v]] for v in vertex_order) for row in rows]
+    return out, LimitTrace(start, tuple(steps))
+
+
 def build_incremental(
     g: EdgeLabeledGraph,
     order: Optional[Sequence[Tuple[str, str]]] = None,
@@ -453,88 +524,15 @@ def build_incremental(
 ) -> Tuple[SplineModule, LimitTrace]:
     """Grow the module edge by edge and record the construction.
 
-    Starting from the one-vertex module, an edge to a fresh vertex extends
-    every generator by its value at the attachment vertex and adjoins the
-    generator supported on the new vertex alone; an edge between existing
-    vertices imposes one congruence on coefficient vectors, solved by
-    Hermite reduction of a single row.  Every inserted edge must touch the
-    component built so far.
+    Starting from the one-vertex module, each edge is one ``_step``: a leaf
+    pullback to a fresh vertex or an edge equalizer between built vertices.
+    Every inserted edge must touch the component built so far.
     """
-    comps = connected_components(g)
-    if len(comps) > 1:
+    if len(connected_components(g)) > 1:
         raise DisconnectedInput("the incremental builder needs a connected graph")
     final_order = _check_vertex_order(g, vertex_order)
-    ring = g.ring
-    if ring.kind == MODINT:
-        lifted = _lift_graph(g)
-        module, trace = build_incremental(lifted, order, final_order)
-        return _reduce_rows_mod(module.rows, final_order, g), trace
-    _require_euclidean_ring(ring, "the incremental builder")
-    edges = _as_edge_list(g, order)
-    zero = ring.zero()
-    one = ring.one()
-    if not edges:
-        if len(g.vertices) > 1:
-            raise DisconnectedInput("the incremental builder needs a connected graph")
-        start = g.vertices[0] if g.vertices else None
-        rows = (tuple([one]),) if g.vertices else ()
-        pivots = (0,) if g.vertices else ()
-        return (
-            SplineModule(g, tuple(final_order), rows, pivots),
-            LimitTrace(start, ()),
-        )
-    start = edges[0].a
-    built: List[str] = [start]
-    rows: List[Vector] = [(one,)]
-    steps: List[Step] = []
-    for e in edges:
-        have_a = e.a in built
-        have_b = e.b in built
-        gen = _edge_generator(e, ring)
-        if have_a and have_b:
-            iu, iv = built.index(e.a), built.index(e.b)
-            deltas = [row[iu] - row[iv] for row in rows]
-            constraint = tuple(deltas) + (gen,)
-            kernel = _kernel_basis([constraint], len(rows) + 1, ring)
-            new_rows = []
-            for vec in kernel:
-                combo = [zero] * len(built)
-                for c, row in zip(vec[: len(rows)], rows):
-                    combo = [acc + c * x for acc, x in zip(combo, row)]
-                new_rows.append(tuple(combo))
-            rows_t, _ = hermite_rows(new_rows, len(built), ring)
-            rows = list(rows_t)
-            steps.append(
-                EdgeEqualizer(e.a, e.b, e.label, tuple(built), tuple(rows))
-            )
-        elif have_a or have_b:
-            attach, new = (e.a, e.b) if have_a else (e.b, e.a)
-            ia = built.index(attach)
-            extended = [row + (row[ia],) for row in rows]
-            extended.append(tuple([zero] * len(built) + [gen]))
-            built.append(new)
-            rows_t, _ = hermite_rows(extended, len(built), ring)
-            rows = list(rows_t)
-            steps.append(
-                LeafPullback(new, attach, e.label, tuple(built), tuple(rows))
-            )
-        else:
-            raise DisconnectedInput(
-                f"edge {e.a!r}-{e.b!r} does not touch the component built so far"
-            )
-    # Re-express in the requested vertex order and normalize once more.
-    col = {v: i for i, v in enumerate(built)}
-    width = len(final_order)
-    final_rows = []
-    for row in rows:
-        vec = [zero] * width
-        for i, v in enumerate(final_order):
-            if v in col:
-                vec[i] = row[col[v]]
-        final_rows.append(tuple(vec))
-    hrows, pivots = hermite_rows(final_rows, width, ring)
-    module = SplineModule(g, tuple(final_order), hrows, pivots)
-    return module, LimitTrace(start, tuple(steps))
+    rows, trace = _grow(g, order, final_order)
+    return _canonical(g, final_order, rows), trace
 
 
 def incremental_assembled(
@@ -542,58 +540,39 @@ def incremental_assembled(
 ) -> Tuple[SplineModule, List[LimitTrace]]:
     """Incremental build per connected component, assembled blockwise."""
     order = _check_vertex_order(g, vertex_order)
-    comps = connected_components(g)
     traces: List[LimitTrace] = []
     rows: List[Vector] = []
     col = {v: i for i, v in enumerate(order)}
-    width = len(order)
-    modint = g.ring.kind == MODINT
-    zero = 0 if modint else g.ring.zero()
-    for comp in comps:
+    zero = _work_ring(g.ring).zero()
+    for comp in connected_components(g):
         comp_order = tuple(v for v in order if v in set(comp.vertices))
-        module, trace = build_incremental(comp, None, comp_order)
+        comp_rows, trace = _grow(comp, None, comp_order)
         traces.append(trace)
-        for row in module.rows:
-            vec = [zero] * width
+        for row in comp_rows:
+            vec = [zero] * len(order)
             for v, x in zip(comp_order, row):
-                vec[col[v]] = x.value if modint else x
+                vec[col[v]] = x
             rows.append(tuple(vec))
-    if modint:
-        return _reduce_rows_mod(rows, order, g), traces
-    hrows, pivots = hermite_rows(rows, width, g.ring)
-    return SplineModule(g, tuple(order), hrows, pivots), traces
+    return _canonical(g, order, rows), traces
 
 
 def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
-    """Re-run the recorded steps; returns the final (normalized) matrix."""
-    ring = g.ring
-    one = ring.one()
-    rows: Tuple[Vector, ...] = ((one,),)
+    """Re-run the recorded steps; returns the final (normalized) matrix.
+
+    Each step is re-run by the same ``_step`` that recorded it and must
+    reproduce the recorded vertices and matrix.
+    """
     built: Tuple[str, ...] = (trace.start_vertex,)
+    rows: Tuple[Vector, ...] = ((_work_ring(g.ring).one(),),)
     for step in trace.steps:
         if isinstance(step, LeafPullback):
-            ia = built.index(step.attach_vertex)
-            gen = _edge_generator(
-                Edge(step.attach_vertex, step.new_vertex, step.label), ring
-            )
-            extended = [row + (row[ia],) for row in rows]
-            extended.append(tuple([ring.zero()] * len(built) + [gen]))
-            built = built + (step.new_vertex,)
-            rows, _ = hermite_rows(extended, len(built), ring)
+            ends = (step.attach_vertex, step.new_vertex)
         else:
-            iu, iv = built.index(step.u), built.index(step.v)
-            gen = _edge_generator(Edge(step.u, step.v, step.label), ring)
-            constraint = tuple(row[iu] - row[iv] for row in rows) + (gen,)
-            kernel = _kernel_basis([constraint], len(rows) + 1, ring)
-            new_rows = []
-            for vec in kernel:
-                combo = [ring.zero()] * len(built)
-                for c, row in zip(vec[: len(rows)], rows):
-                    combo = [acc + c * x for acc, x in zip(combo, row)]
-                new_rows.append(tuple(combo))
-            rows, _ = hermite_rows(new_rows, len(built), ring)
-        if rows != step.matrix_after or built != step.vertices_after:
+            ends = (step.u, step.v)
+        redone = _step(built, rows, *ends, step.label, g.ring)
+        if redone != step:
             raise ValueError("trace does not replay to its recorded matrices")
+        built, rows = redone.vertices_after, redone.matrix_after
     return rows
 
 
@@ -613,15 +592,9 @@ def enumerate_bruteforce(g: EdgeLabeledGraph) -> List[Spline]:
     if n**nv > _ENUMERATION_GUARD:
         raise TooLarge(f"{n}^{nv} labelings exceed the enumeration guard")
     index = {v: i for i, v in enumerate(g.vertices)}
-    conditions = []
-    for e in g.edges:
-        if e.label.is_zero:
-            m = n
-        else:
-            m = math.gcd(e.label.expand(g.ring).value, n)
-            if m == 0:
-                m = n
-        conditions.append((index[e.a], index[e.b], m))
+    conditions = [
+        (index[e.a], index[e.b], edge_modulus(e.label, g.ring)) for e in g.edges
+    ]
     out = []
     for values in itertools.product(range(n), repeat=nv):
         if all((values[i] - values[j]) % m == 0 for i, j, m in conditions):
@@ -666,15 +639,9 @@ def flow_up_normalize(
             raise ValueError("cannot infer the graph from an empty generator list")
         graph = generators[0].graph
     order = _check_vertex_order(graph, vertex_order)
-    ring = graph.ring
-    if ring.kind == MODINT:
-        n = ring.modulus
-        lifted = [tuple(s.values[v].value for v in order) for s in generators]
-        return _reduce_rows_mod(lifted, order, graph)
-    _require_euclidean_ring(ring, "flow-up normalization")
-    rows = [s.value_tuple(order) for s in generators]
-    hrows, pivots = hermite_rows(rows, len(order), ring)
-    return SplineModule(graph, tuple(order), hrows, pivots)
+    _require_euclidean_ring(_work_ring(graph.ring), "flow-up normalization")
+    rows = [tuple(_lift_value(s.values[v], graph.ring) for v in order) for s in generators]
+    return _canonical(graph, order, rows)
 
 
 def localize_module(module: SplineModule, invert) -> SplineModule:
@@ -715,18 +682,22 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
     Over a localized ring the coefficients may carry denominators built
     from inverted factors; otherwise denominators must be units.  The
     returned coefficients recombine exactly to ``s``.
+
+    The substitution runs over the work ring.  The lifted rows of a residue
+    module are the integer Hermite rows ``_canonical`` kept; the rows it
+    dropped are ``n`` times coordinate vectors, which only clear their own
+    column, so ``s`` is a member exactly when every pivot divides and the
+    final residual vanishes modulo ``n``.
     """
     g = module.graph
-    ring = g.ring
-    if ring.kind == MODINT:
-        return _membership_modint(module, s)
+    ring = _work_ring(g.ring)
     _require_euclidean_ring(ring, "membership testing")
     order = module.vertex_order
-    target = [coerce(s.values[v], ring) for v in order]
+    rows = _lift_rows(module.rows, g.ring)
     num_den: List[Tuple[RingElement, RingElement]] = []
-    residual = list(target)
+    residual = [_lift_value(s.values[v], g.ring) for v in order]
     denominator = ring.one()
-    for row, p in zip(module.rows, module.pivots):
+    for row, p in zip(rows, module.pivots):
         a = residual[p]
         if is_zero_element(a):
             num_den.append((ring.zero(), ring.one()))
@@ -753,7 +724,7 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
                 for x in residual
             ]
             denominator = exact_divide(denominator, content, ring)
-    if any(not is_zero_element(x) for x in residual):
+    if any(not is_zero_element(coerce(x, g.ring)) for x in residual):
         return MembershipResult(False)
     coefficients = []
     for num, den in num_den:
@@ -761,55 +732,9 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
         if not is_unit(stripped, ring):
             return MembershipResult(False)
         if is_unit(den, ring):
-            q = exact_divide(num, den, ring)
-            coefficients.append((q, ring.one()))
-        else:
-            coefficients.append((num, den))
+            num, den = exact_divide(num, den, ring), ring.one()
+        coefficients.append((coerce(num, g.ring), coerce(den, g.ring)))
     return MembershipResult(True, tuple(coefficients))
-
-
-def _membership_modint(module: SplineModule, s: Spline) -> MembershipResult:
-    g = module.graph
-    n = g.ring.modulus
-    order = module.vertex_order
-    width = len(order)
-    zring = RingDescriptor.integers()
-    lifted_rows = [tuple(x.value for x in row) for row in module.rows]
-    full = lifted_rows + [
-        tuple(n if j == i else 0 for j in range(width)) for i in range(width)
-    ]
-    hrows, pivots = hermite_rows(full, width, zring)
-    target = [coerce(s.values[v], g.ring).value for v in order]
-    residual = list(target)
-    for row, p in zip(hrows, pivots):
-        a = residual[p]
-        if a % row[p]:
-            return MembershipResult(False)
-        c = a // row[p]
-        residual = [x - c * y for x, y in zip(residual, row)]
-    if any(residual):
-        return MembershipResult(False)
-    # Recover coefficients against the module's own rows by solving the
-    # same back-substitution with those rows first.
-    coeffs = []
-    residual = list(target)
-    for row in lifted_rows:
-        p = next((i for i, x in enumerate(row) if x % n), None)
-        if p is None:
-            coeffs.append((Residue(0, n), Residue(1, n)))
-            continue
-        lead = row[p] % n
-        gcd_l = math.gcd(lead, n)
-        r = residual[p] % n
-        if r % gcd_l:
-            return MembershipResult(False)
-        c = (r // gcd_l) * pow(lead // gcd_l, -1, n // gcd_l) % (n // gcd_l)
-        coeffs.append((Residue(c, n), Residue(1, n)))
-        residual = [x - c * y for x, y in zip(residual, row)]
-    if any(x % n for x in residual):
-        # The greedy choice can miss; fall back to the lifted certificate.
-        return MembershipResult(True, None)
-    return MembershipResult(True, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

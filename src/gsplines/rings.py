@@ -716,6 +716,20 @@ def factored_from_residue(value: int, ring: RingDescriptor) -> FactoredElement:
     return FactoredElement((make_factor(Residue(g, n), ring),))
 
 
+def edge_modulus(label: FactoredElement, ring: RingDescriptor) -> int:
+    """The integer modulus a residue-ring label imposes on differences.
+
+    Over ``Z/n`` the difference ``d`` of the endpoint values lies in the
+    ideal of ``label`` exactly when its integer lift is divisible by
+    ``gcd(label, n)``; a zero label, or one that vanishes modulo ``n``,
+    forces ``n | d``.
+    """
+    n = ring.modulus
+    if label.is_zero:
+        return n
+    return math.gcd(label.expand(ring).value, n) or n
+
+
 def trivializes(label: FactoredElement, ring: RingDescriptor) -> bool:
     """Whether the ideal becomes the unit ideal in ``ring``'s localization.
 
@@ -732,33 +746,29 @@ def trivializes(label: FactoredElement, ring: RingDescriptor) -> bool:
 # formatting
 
 
-def _format_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 def format_poly(p: Poly, variables: Sequence[str]) -> str:
     if not p.terms:
         return "0"
     chunks = []
     for i, (exps, coeff) in enumerate(p.terms):
-        mag = -coeff if coeff < 0 else coeff
+        mag = str(abs(coeff))
         vars_part = "*".join(
             f"{v}^{e}" if e > 1 else v for v, e in zip(variables, exps) if e > 0
         )
         if not vars_part:
-            body = _format_fraction(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = vars_part
         else:
-            body = f"{_format_fraction(mag)}*{vars_part}"
+            body = f"{mag}*{vars_part}"
         if i == 0:
             if coeff < 0:
                 # An explicit coefficient keeps the leading sign outside any
                 # exponent: the grammar binds '-' tighter than '^'.
                 if vars_part:
-                    chunks.append(f"-{_format_fraction(mag)}*{vars_part}")
+                    chunks.append(f"-{mag}*{vars_part}")
                 else:
-                    chunks.append(f"-{_format_fraction(mag)}")
+                    chunks.append(f"-{mag}")
             else:
                 chunks.append(body)
         else:

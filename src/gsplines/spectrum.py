@@ -112,7 +112,7 @@ def _relevant_primes(g: EdgeLabeledGraph) -> List[RingElement]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _links_of(g: EdgeLabeledGraph, primes: Sequence[RingElement]) -> List[Link]:
+def _links_of(g: EdgeLabeledGraph) -> List[Link]:
     links: List[Link] = []
     for e in g.edges:
         if e.label.is_zero:
@@ -134,7 +134,7 @@ def spectrum_report(g: EdgeLabeledGraph) -> SpectrumReport:
     """Fibers, gluing links, hole count and component count for ``g``."""
     primes = _relevant_primes(g)
     fibers = {p: fiber_over(g, p) for p in primes}
-    links = _links_of(g, primes)
+    links = _links_of(g)
     hole_count, components = _cycle_data(g.vertices, links)
     glued_pairs = tuple((e.a, e.b) for e in g.edges if e.label.is_zero)
     generic_points = len(_partition(g.vertices, glued_pairs))
@@ -246,10 +246,14 @@ def _infer_operation(before: EdgeLabeledGraph, after: EdgeLabeledGraph) -> Tuple
     new = av - bv
     gone = bv - av
     if len(new) == 1 and len(gone) == 2:
+        # ``contract_edge`` names the merged vertex ``u~v``, primed until
+        # fresh; the endpoint names may themselves contain ``~``.
         (merged,) = new
-        parts = merged.rstrip("'").split("~")
-        if len(parts) == 2 and set(parts) == gone:
-            return ("contract", parts[0], parts[1], merged)
+        a, b = gone
+        for u, v in ((a, b), (b, a)):
+            stem = f"{u}~{v}"
+            if merged.startswith(stem) and not merged[len(stem):].strip("'"):
+                return ("contract", u, v, merged)
     raise UnrelatedGraphs(
         "the vertex sets do not differ by one deletion or contraction"
     )
@@ -273,8 +277,8 @@ def spectrum_diff(before: EdgeLabeledGraph, after: EdgeLabeledGraph) -> Spectrum
         lines.append(f"operation: contract {op[1]}-{op[2]}")
         lines.append(f"vertices identified: {op[1]}, {op[2]} -> {op[3]}")
 
-    removed_links = _link_multiset(rb.links) - _link_multiset(ra.links)
-    added_links = _link_multiset(ra.links) - _link_multiset(rb.links)
+    removed_links = Counter(rb.links) - Counter(ra.links)
+    added_links = Counter(ra.links) - Counter(rb.links)
     for (a, b, p), count in sorted(removed_links.items(), key=repr):
         tag = _format_factor_key(p, ring)
         for _ in range(count):
@@ -302,7 +306,3 @@ def spectrum_diff(before: EdgeLabeledGraph, after: EdgeLabeledGraph) -> Spectrum
         lines.append(f"components: {rb.components} -> {ra.components}")
     lines.append(f"holeCount: {rb.hole_count} -> {ra.hole_count}")
     return SpectrumDiff(rb, ra, tuple(lines))
-
-
-def _link_multiset(links: Sequence[Link]) -> Counter:
-    return Counter(links)

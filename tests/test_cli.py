@@ -68,6 +68,51 @@ def test_verify_triangle_mod_105(capsys):
     assert out == "brute force = direct = incremental: 11025 splines\n"
 
 
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "verify", PATH, "--mod", "15", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "modulus": 15,
+        "bruteForce": 225,
+        "direct": 225,
+        "incremental": 225,
+        "agree": True,
+    }
+
+
+def test_basis_incremental_residue_trace_keeps_labels(capsys, tmp_path):
+    doc = {
+        "ring": {"kind": "ModInt", "modulus": 12},
+        "vertices": ["u", "v", "w"],
+        "edges": [
+            {"ends": ["u", "v"], "label": {"factors": [["6", 1]]}},
+            {"ends": ["v", "w"], "label": {"factors": [["4", 1]]}},
+            {"ends": ["u", "w"], "label": {"factors": [["3", 1]]}},
+        ],
+    }
+    path = tmp_path / "z12.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "basis", str(path), "--incremental")
+    assert code == 0
+    assert out == (
+        "vertex order: u v w\n"
+        "[ 1 1 1 ]\n"
+        "[ 0 6 6 ]\n"
+        "start: u\n"
+        "leaf-pullback: v attached to u via 6\n"
+        "  [ 1 1 ]\n"
+        "  [ 0 6 ]\n"
+        "leaf-pullback: w attached to u via 3\n"
+        "  [ 1 1 1 ]\n"
+        "  [ 0 6 0 ]\n"
+        "  [ 0 0 3 ]\n"
+        "edge-equalizer: v ~ w via 4\n"
+        "  [ 1 1 1 ]\n"
+        "  [ 0 6 6 ]\n"
+        "  [ 0 0 0 ]\n"
+    )
+
+
 def test_restrict_text(capsys):
     code, out, _ = run(capsys, "restrict", TRIANGLE, "--invert", "3")
     assert code == 0

@@ -367,3 +367,76 @@ def test_rank_counts_zero_label_components():
         # cross-check against brute force over a modulus coprime to all labels
         gn = reduce_mod(g, 7)
         assert brute_set(gn) == spline_set(solve_direct(gn))
+
+
+# --- residue rings: one lift in, one canonical form out -------------------------------
+
+
+def z12_triangle():
+    return reduce_mod(int_graph(["u", "v", "w"], [("u", "v", 6), ("v", "w", 4), ("u", "w", 3)]), 12)
+
+
+def random_residue_graph(rng):
+    n = rng.randrange(2, 13)
+    nv = rng.randrange(1, 5)
+    while n**nv > 5000:
+        nv -= 1
+    vs = [f"v{i}" for i in range(nv)]
+    edges = [(a, b, rng.choice([0, 2, 3, 4, 6, 8, 9, 10, 12])) for a, b in itertools.combinations(vs, 2)
+             if rng.random() < 0.7]
+    return reduce_mod(int_graph(vs, edges), n)
+
+
+def test_residue_three_way_agreement_random():
+    rng = random.Random(83)
+    for _ in range(40):
+        g = random_residue_graph(rng)
+        order = list(reversed(g.vertices))
+        brute = brute_set(g)
+        assert spline_set(solve_direct(g)) == brute
+        assert spline_set(solve_direct(g, order)) == frozenset(
+            tuple(t[g.vertices.index(v)] for v in order) for t in brute
+        )
+        inc, traces = incremental_assembled(g)
+        assert inc == solve_direct(g)
+        for t in traces:
+            if t.steps:
+                assert replay_trace(g, t) == t.steps[-1].matrix_after
+
+
+def test_residue_membership_coefficients_recombine():
+    rng = random.Random(89)
+    for _ in range(40):
+        g = random_residue_graph(rng)
+        n = g.ring.modulus
+        m = solve_direct(g)
+        splines = {tuple(x.value for x in s.value_tuple(g.vertices)) for s in enumerate_bruteforce(g)}
+        for _ in range(5):
+            values = tuple(rng.randrange(n) for _ in g.vertices)
+            res = membership(m, Spline(g, {v: Residue(x, n) for v, x in zip(g.vertices, values)}))
+            assert res.member == (values in splines)
+            if not res.member:
+                continue
+            assert res.coefficients is not None
+            rebuilt = [0] * len(g.vertices)
+            for (num, den), row in zip(res.coefficients, m.rows):
+                assert den == Residue(1, n)
+                rebuilt = [(a + num.value * b.value) % n for a, b in zip(rebuilt, row)]
+            assert tuple(rebuilt) == values
+
+
+def test_residue_replay_returns_recorded_matrix():
+    g = z12_triangle()
+    m, trace = build_incremental(g)
+    assert [type(s) for s in trace.steps] == [LeafPullback, LeafPullback, EdgeEqualizer]
+    assert replay_trace(g, trace) == trace.steps[-1].matrix_after
+    assert [x.value for x in m.rows[1]] == [0, 6, 6]
+
+
+def test_residue_flow_up_reduces_modulo_n():
+    g = z12_triangle()
+    n = g.ring.modulus
+    basis = solve_direct(g).basis
+    doubled = [Spline(g, {v: x + x for v, x in s.values.items()}) for s in basis]
+    assert flow_up_normalize(list(basis) + doubled, graph=g) == solve_direct(g)
+    assert flow_up_normalize([Spline(g, {v: Residue(n, n) for v in g.vertices})], graph=g).rank == 0

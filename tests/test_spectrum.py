@@ -205,6 +205,19 @@ def test_diff_contract(triangle):
     assert "vertices identified: u, v -> u~v" in diff.narrative
 
 
+def test_diff_contract_names_with_tilde(triangle):
+    once = contract_edge(triangle, "u", "v")
+    twice = contract_edge(once, "u~v", "w")
+    assert twice.vertices == ("u~v~w",)
+    diff = spectrum_diff(once, twice)
+    assert diff.narrative[:2] == (
+        "operation: contract u~v-w",
+        "vertices identified: u~v, w -> u~v~w",
+    )
+    reverse = contract_edge(once, "w", "u~v")
+    assert spectrum_diff(once, reverse).narrative[1] == "vertices identified: w, u~v -> w~u~v"
+
+
 def test_diff_delete_vertex(triangle):
     after = delete_vertex(triangle, "w")
     diff = spectrum_diff(triangle, after)
