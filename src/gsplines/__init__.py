@@ -10,6 +10,7 @@ from .errors import (
     ComputationError,
     DisconnectedInput,
     InputError,
+    InternalError,
     MixedRings,
     NoSuchEdge,
     NoSuchVertex,

@@ -3,7 +3,7 @@
 One command per invocation; graphs come from JSON files (see ``formats``).
 Exit codes: 0 success, 1 computational failure (unsupported ring, guard
 tripped, disconnected input), 2 input errors (parse, schema, missing files,
-unknown flags).
+unknown flags), 3 internal errors (a broken invariant of the engine).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from . import formats
 from .certificates import check_cover, verify_certificate
-from .errors import ComputationError, InputError
+from .errors import ComputationError, InputError, InternalError
 from .graphs import contract_edge, delete_edge, delete_vertex, reduce_mod, restrict
 from .modules import (
     enumerate_bruteforce,
@@ -73,8 +73,13 @@ def cmd_verify(args) -> int:
         tuple(x.value for x in s.value_tuple(gn.vertices))
         for s in enumerate_bruteforce(gn)
     )
-    direct = spline_set(solve_direct(gn))
-    incremental = spline_set(incremental_assembled(gn)[0])
+    direct_module = solve_direct(gn)
+    incremental_module = incremental_assembled(gn)[0]
+    direct = spline_set(direct_module)
+    # Equal modules span one set: enumerate it once.
+    incremental = (
+        direct if incremental_module == direct_module else spline_set(incremental_module)
+    )
     agree = brute == direct == incremental
     if agree:
         text = f"brute force = direct = incremental: {len(brute)} splines"
@@ -268,6 +273,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ComputationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except InternalError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

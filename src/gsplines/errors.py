@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Two broad categories matter for callers (and for the CLI's exit codes):
+Three categories matter for callers (and for the CLI's exit codes):
 ``InputError`` covers malformed user input, ``ComputationError`` covers
-well-formed input the engine cannot handle.
+well-formed input the engine cannot handle, and ``InternalError`` covers a
+broken internal invariant, a fault of the engine rather than of its input.
 """
 
 
@@ -16,6 +17,10 @@ class InputError(SplineError):
 
 class ComputationError(SplineError):
     """Valid input on which the requested computation cannot proceed."""
+
+
+class InternalError(SplineError):
+    """An internal invariant failed; the engine, not the input, is at fault."""
 
 
 class UnsupportedRing(ComputationError):

@@ -25,7 +25,7 @@ from typing import Dict, Sequence, Tuple
 from .certificates import BasicOpen, CertificateReport, CoverStatus
 from .errors import SchemaError
 from .graphs import EdgeLabeledGraph, RestrictionOutcome, normalize
-from .modules import LimitTrace, LeafPullback, SplineModule, format_matrix
+from .modules import LimitTrace, LeafPullback, SplineModule, format_matrix, work_ring
 from .parsing import parse_element
 from .rings import (
     INT,
@@ -271,7 +271,10 @@ def render_basis_text(module: SplineModule) -> str:
 
 
 def render_trace_text(g, trace: LimitTrace) -> str:
+    """The trace's steps; labels print over ``g.ring``, step rows over the
+    work ring the steps computed in (``Int`` for a residue ring)."""
     ring = g.ring
+    work = work_ring(ring)
     lines = [f"start: {trace.start_vertex}"]
     for step in trace.steps:
         if isinstance(step, LeafPullback):
@@ -285,7 +288,7 @@ def render_trace_text(g, trace: LimitTrace) -> str:
                 f" via {format_factored(step.label, ring)}"
             )
         for row in step.matrix_after:
-            cells = " ".join(format_element(x, ring) for x in row)
+            cells = " ".join(format_element(x, work) for x in row)
             lines.append(f"  [ {cells} ]")
     return "\n".join(lines)
 

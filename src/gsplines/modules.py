@@ -27,11 +27,10 @@ That form is unique, which makes golden tests possible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DisconnectedInput, TooLarge, UnsupportedRing
+from .errors import DisconnectedInput, InternalError, TooLarge, UnsupportedRing
 from .graphs import Edge, EdgeLabeledGraph, connected_components
 from .rings import (
     INT,
@@ -67,7 +66,7 @@ class Spline:
     values: Dict[str, RingElement]
 
     def value_tuple(self, order: Sequence[str]) -> Vector:
-        return tuple(self.values[v] for v in order)
+        return tuple(map(self.values.__getitem__, order))
 
 
 @dataclass(frozen=True)
@@ -148,19 +147,19 @@ class MembershipResult:
 # the way in: the ring the solvers compute in
 
 
-def _work_ring(ring: RingDescriptor) -> RingDescriptor:
+def work_ring(ring: RingDescriptor) -> RingDescriptor:
     """``Int`` for a residue ring, the ring itself otherwise."""
     return RingDescriptor.integers() if ring.kind == MODINT else ring
 
 
 def _lift_value(x, ring: RingDescriptor) -> RingElement:
-    """A value of ``ring`` as an element of ``_work_ring(ring)``."""
+    """A value of ``ring`` as an element of ``work_ring(ring)``."""
     x = coerce(x, ring)
     return x.value if isinstance(x, Residue) else x
 
 
 def _lift_rows(rows: Sequence[Vector], ring: RingDescriptor) -> Sequence[Vector]:
-    """A module's rows over ``_work_ring(ring)``; residues become their
+    """A module's rows over ``work_ring(ring)``; residues become their
     representatives in ``[0, n)``."""
     if ring.kind != MODINT:
         return rows
@@ -168,7 +167,7 @@ def _lift_rows(rows: Sequence[Vector], ring: RingDescriptor) -> Sequence[Vector]
 
 
 def _edge_generator(label: FactoredElement, ring: RingDescriptor) -> RingElement:
-    """The edge ideal's generator in ``_work_ring(ring)``.
+    """The edge ideal's generator in ``work_ring(ring)``.
 
     Inverted factors are stripped (they are units).  A nonzero residue
     label becomes the integer modulus it imposes; a zero label stays zero
@@ -177,7 +176,7 @@ def _edge_generator(label: FactoredElement, ring: RingDescriptor) -> RingElement
     values lie in ``[0, n)``.
     """
     if label.is_zero:
-        return _work_ring(ring).zero()
+        return work_ring(ring).zero()
     if ring.kind == MODINT:
         return edge_modulus(label, ring)
     if ring.inverted:
@@ -188,7 +187,7 @@ def _edge_generator(label: FactoredElement, ring: RingDescriptor) -> RingElement
 def gkm_check(g: EdgeLabeledGraph, s: Spline) -> bool:
     """Whether the labeling satisfies every edge congruence."""
     ring = g.ring
-    work = _work_ring(ring)
+    work = work_ring(ring)
     for e in g.edges:
         d = _lift_value(s.values[e.a], ring) - _lift_value(s.values[e.b], ring)
         gen = _edge_generator(e.label, ring)
@@ -356,7 +355,7 @@ def _component_rows(comp: EdgeLabeledGraph, order: Sequence[str]) -> List[Vector
     spline module is the projection of that system's kernel onto the vertex
     coordinates.
     """
-    ring = _work_ring(comp.ring)
+    ring = work_ring(comp.ring)
     col_of = {v: i for i, v in enumerate(order)}
     nV = len(order)
     slack = [e for e in comp.edges if not e.label.is_zero]
@@ -397,7 +396,7 @@ def solve_direct(
     leave through ``_canonical``.
     """
     order = _check_vertex_order(g, vertex_order)
-    ring = _work_ring(g.ring)
+    ring = work_ring(g.ring)
     _require_euclidean_ring(ring, "basis computation")
     rows: List[Vector] = []
     zero = ring.zero()
@@ -467,7 +466,7 @@ def _step(
     alone; an edge between built vertices imposes one congruence on
     coefficient vectors, solved as the kernel of a single row.
     """
-    work = _work_ring(ring)
+    work = work_ring(ring)
     zero = work.zero()
     gen = _edge_generator(label, ring)
     if a in built and b in built:
@@ -499,7 +498,7 @@ def _grow(
 ) -> Tuple[List[Vector], LimitTrace]:
     """Work-ring rows of a connected graph's module in ``vertex_order``
     coordinates, not yet canonical, and the trace that produced them."""
-    ring = _work_ring(g.ring)
+    ring = work_ring(g.ring)
     _require_euclidean_ring(ring, "the incremental builder")
     edges = _as_edge_list(g, order)
     if not g.vertices:
@@ -543,7 +542,7 @@ def incremental_assembled(
     traces: List[LimitTrace] = []
     rows: List[Vector] = []
     col = {v: i for i, v in enumerate(order)}
-    zero = _work_ring(g.ring).zero()
+    zero = work_ring(g.ring).zero()
     for comp in connected_components(g):
         comp_order = tuple(v for v in order if v in set(comp.vertices))
         comp_rows, trace = _grow(comp, None, comp_order)
@@ -560,10 +559,10 @@ def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
     """Re-run the recorded steps; returns the final (normalized) matrix.
 
     Each step is re-run by the same ``_step`` that recorded it and must
-    reproduce the recorded vertices and matrix.
+    reproduce the recorded vertices and matrix; ``InternalError`` otherwise.
     """
     built: Tuple[str, ...] = (trace.start_vertex,)
-    rows: Tuple[Vector, ...] = ((_work_ring(g.ring).one(),),)
+    rows: Tuple[Vector, ...] = ((work_ring(g.ring).one(),),)
     for step in trace.steps:
         if isinstance(step, LeafPullback):
             ends = (step.attach_vertex, step.new_vertex)
@@ -571,7 +570,7 @@ def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
             ends = (step.u, step.v)
         redone = _step(built, rows, *ends, step.label, g.ring)
         if redone != step:
-            raise ValueError("trace does not replay to its recorded matrices")
+            raise InternalError("trace does not replay to its recorded matrices")
         built, rows = redone.vertices_after, redone.matrix_after
     return rows
 
@@ -583,7 +582,16 @@ def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
 def enumerate_bruteforce(g: EdgeLabeledGraph) -> List[Spline]:
     """Every labeling over a residue ring passing the congruence check.
 
-    Deterministic lexicographic order; guarded at ``n^|V| <= 10**7``.
+    A search along ``g.vertices``: prefixes of values grow one vertex at a
+    time, and each edge congruence ``edge_modulus(label) | x_i - x_j`` is
+    checked at its later endpoint, as soon as both values exist, so a
+    prefix that already breaks one is never extended.  Edges of modulus 1
+    impose nothing and are skipped.  Values are tried in increasing order,
+    so the output is in lexicographic order of the value tuples, exactly
+    the order of the full ``n^|V|`` product.  The search reads only the
+    edges: neither pivots nor any Hermite structure, and no solver.
+
+    Guarded at ``n^|V| <= 10**7``.
     """
     if g.ring.kind != MODINT:
         raise UnsupportedRing("brute-force enumeration needs a residue ring")
@@ -592,36 +600,67 @@ def enumerate_bruteforce(g: EdgeLabeledGraph) -> List[Spline]:
     if n**nv > _ENUMERATION_GUARD:
         raise TooLarge(f"{n}^{nv} labelings exceed the enumeration guard")
     index = {v: i for i, v in enumerate(g.vertices)}
-    conditions = [
-        (index[e.a], index[e.b], edge_modulus(e.label, g.ring)) for e in g.edges
-    ]
-    out = []
-    for values in itertools.product(range(n), repeat=nv):
-        if all((values[i] - values[j]) % m == 0 for i, j, m in conditions):
-            out.append(
-                Spline(g, {v: Residue(values[i], n) for v, i in index.items()})
-            )
-    return out
+    # checks[k]: the (earlier vertex, modulus) pairs checked at vertex k.
+    checks: List[List[Tuple[int, int]]] = [[] for _ in range(nv)]
+    for e in g.edges:
+        i, j = sorted((index[e.a], index[e.b]))
+        m = edge_modulus(e.label, g.ring)
+        if i != j and m != 1:
+            checks[j].append((i, m))
+    prefixes: List[Tuple[int, ...]] = [()]
+    for at in checks:
+        if not at:
+            prefixes = [p + (x,) for p in prefixes for x in range(n)]
+            continue
+        # The first congruence fixes x modulo m0: step through its class.
+        (i0, m0), rest = at[0], at[1:]
+        prefixes = [
+            p + (x,)
+            for p in prefixes
+            for x in range(p[i0] % m0, n, m0)
+            if all((x - p[i]) % m == 0 for i, m in rest)
+        ]
+    # One shared Residue per value; every value occurs at the first vertex.
+    table = [Residue(x, n) for x in range(n)] if nv else []
+    return [Spline(g, dict(zip(g.vertices, map(table.__getitem__, p)))) for p in prefixes]
 
 
 def spline_set(module: SplineModule) -> frozenset:
-    """All value tuples spanned by a residue-ring module's basis."""
+    """All value tuples spanned by a residue-ring module's rows.
+
+    The span is built as a sum of cyclic subgroups of ``(Z/n)^|V|``:
+    ``S_0 = {0}`` and ``S_{i+1} = S_i + {c*r_i : 0 <= c < ord(r_i)}``.
+    ``S_i + c*r_i`` repeats ``S_i`` once ``c*r_i`` lies in ``S_i``, so ``c``
+    stops at the least such positive multiple, a divisor of ``ord(r_i)``,
+    and the translates it passes are disjoint.  Only the rows are read, as
+    generators; neither the pivots nor any Hermite structure is assumed,
+    so the set is right for any generating rows and independent of the
+    solver that produced them.
+
+    Guarded at ``n^rank <= 10**7``.
+    """
     g = module.graph
     if g.ring.kind != MODINT:
         raise UnsupportedRing("spanning sets are enumerated over residue rings only")
     n = g.ring.modulus
     if n ** module.rank > _ENUMERATION_GUARD:
         raise TooLarge("the spanned set exceeds the enumeration guard")
-    width = len(module.vertex_order)
-    rows = [tuple(x.value for x in row) for row in module.rows]
-    out = set()
-    for coeffs in itertools.product(range(n), repeat=len(rows)):
-        vec = [0] * width
-        for c, row in zip(coeffs, rows):
-            if c:
-                vec = [(a + c * b) % n for a, b in zip(vec, row)]
-        out.add(tuple(vec))
-    return frozenset(out)
+    if not module.vertex_order:
+        return frozenset({()})
+    # The span, one list of values per coordinate; the translates added
+    # for a row are disjoint from each other, so no tuple repeats.
+    columns = [[0] for _ in module.vertex_order]
+    for row in module.rows:
+        r = [x.value for x in row]
+        span = set(zip(*columns))
+        step = tuple(r)
+        grown = [list(col) for col in columns]
+        while step not in span:
+            for col, out, t in zip(columns, grown, step):
+                out.extend([(x + t) % n for x in col])
+            step = tuple([(a + b) % n for a, b in zip(step, r)])
+        columns = grown
+    return frozenset(zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +678,7 @@ def flow_up_normalize(
             raise ValueError("cannot infer the graph from an empty generator list")
         graph = generators[0].graph
     order = _check_vertex_order(graph, vertex_order)
-    _require_euclidean_ring(_work_ring(graph.ring), "flow-up normalization")
+    _require_euclidean_ring(work_ring(graph.ring), "flow-up normalization")
     rows = [tuple(_lift_value(s.values[v], graph.ring) for v in order) for s in generators]
     return _canonical(graph, order, rows)
 
@@ -690,7 +729,7 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
     final residual vanishes modulo ``n``.
     """
     g = module.graph
-    ring = _work_ring(g.ring)
+    ring = work_ring(g.ring)
     _require_euclidean_ring(ring, "membership testing")
     order = module.vertex_order
     rows = _lift_rows(module.rows, g.ring)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from gsplines import InternalError, Residue, SplineModule
+from gsplines import cli
 from gsplines.cli import main
 from conftest import fixture_path
 
@@ -80,6 +82,53 @@ def test_verify_json(capsys):
     }
 
 
+def _counting_spline_set(monkeypatch):
+    calls = []
+
+    def counted(module):
+        calls.append(module)
+        return real(module)
+
+    real = cli.spline_set
+    monkeypatch.setattr(cli, "spline_set", counted)
+    return calls
+
+
+def test_verify_enumerates_equal_modules_once(capsys, monkeypatch):
+    calls = _counting_spline_set(monkeypatch)
+    code, out, _ = run(capsys, "verify", PATH, "--mod", "15")
+    assert code == 0
+    assert out == "brute force = direct = incremental: 225 splines\n"
+    assert len(calls) == 1
+
+
+def test_verify_enumerates_both_when_modules_differ(capsys, monkeypatch):
+    calls = _counting_spline_set(monkeypatch)
+    real = cli.incremental_assembled
+
+    def with_redundant_row(g):
+        m, traces = real(g)
+        doubled = tuple(Residue(2 * x.value, x.modulus) for x in m.rows[0])
+        return SplineModule(m.graph, m.vertex_order, m.rows + (doubled,), m.pivots + (0,)), traces
+
+    monkeypatch.setattr(cli, "incremental_assembled", with_redundant_row)
+    code, out, _ = run(capsys, "verify", PATH, "--mod", "15", "--json")
+    assert code == 0
+    assert json.loads(out)["agree"] is True
+    assert len(calls) == 2
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(*_):
+        raise InternalError("invariant broken")
+
+    monkeypatch.setattr(cli, "solve_direct", broken)
+    code, out, err = run(capsys, "basis", TRIANGLE)
+    assert code == 3
+    assert out == ""
+    assert "invariant broken" in err
+
+
 def test_basis_incremental_residue_trace_keeps_labels(capsys, tmp_path):
     doc = {
         "ring": {"kind": "ModInt", "modulus": 12},
@@ -109,7 +158,7 @@ def test_basis_incremental_residue_trace_keeps_labels(capsys, tmp_path):
         "edge-equalizer: v ~ w via 4\n"
         "  [ 1 1 1 ]\n"
         "  [ 0 6 6 ]\n"
-        "  [ 0 0 0 ]\n"
+        "  [ 0 0 12 ]\n"
     )
 
 

@@ -1,16 +1,26 @@
+import dataclasses
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsplines import (
+    ComputationError,
     DisconnectedInput,
+    Edge,
     EdgeEqualizer,
+    EdgeLabeledGraph,
     FactoredElement,
+    InputError,
+    InternalError,
     LeafPullback,
     Residue,
     RingDescriptor,
     Spline,
+    SplineModule,
     TooLarge,
     UnsupportedRing,
     build_incremental,
@@ -19,6 +29,7 @@ from gsplines import (
     flow_up_normalize,
     gkm_check,
     incremental_assembled,
+    make_factor,
     membership,
     normalize,
     parse_element,
@@ -27,6 +38,7 @@ from gsplines import (
     solve_direct,
     spline_set,
 )
+from gsplines.rings import factored_from_residue
 from conftest import QX, ZZ, int_graph, int_label
 
 
@@ -440,3 +452,171 @@ def test_residue_flow_up_reduces_modulo_n():
     doubled = [Spline(g, {v: x + x for v, x in s.values.items()}) for s in basis]
     assert flow_up_normalize(list(basis) + doubled, graph=g) == solve_direct(g)
     assert flow_up_normalize([Spline(g, {v: Residue(n, n) for v in g.vertices})], graph=g).rank == 0
+
+
+def test_replay_rejects_a_tampered_matrix(triangle):
+    _, trace = build_incremental(triangle)
+    last = trace.steps[-1]
+    bad_row = (last.matrix_after[-1][0] + 1,) + last.matrix_after[-1][1:]
+    tampered = dataclasses.replace(last, matrix_after=last.matrix_after[:-1] + (bad_row,))
+    bad = dataclasses.replace(trace, steps=trace.steps[:-1] + (tampered,))
+    with pytest.raises(InternalError):
+        replay_trace(triangle, bad)
+    assert not issubclass(InternalError, (ValueError, InputError, ComputationError))
+
+
+# --- Z/n enumerators against plain product references ---------------------------------
+
+
+def _ideal(label, ring):
+    """The residues of the ideal a residue-ring label generates, from its definition."""
+    n = ring.modulus
+    gen = 0 if label.is_zero else label.expand(ring).value
+    return {k * gen % n for k in range(n)}
+
+
+def product_bruteforce(g):
+    """Every tuple of the full product whose edge differences lie in the edge ideals."""
+    n = g.ring.modulus
+    index = {v: i for i, v in enumerate(g.vertices)}
+    conditions = [(index[e.a], index[e.b], _ideal(e.label, g.ring)) for e in g.edges]
+    return [
+        t
+        for t in itertools.product(range(n), repeat=len(g.vertices))
+        if all((t[i] - t[j]) % n in ideal for i, j, ideal in conditions)
+    ]
+
+
+def product_span(rows, n, width):
+    """Every combination of the rows with coefficients in range(n)."""
+    out = set()
+    for coeffs in itertools.product(range(n), repeat=len(rows)):
+        out.add(tuple(sum(c * r[k] for c, r in zip(coeffs, rows)) % n for k in range(width)))
+    return frozenset(out)
+
+
+def _radical(n):
+    """The product of the primes dividing n."""
+    return math.prod(p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
+
+
+def random_residue_label(rng, ring):
+    """Zero, vanishing modulo n, a unit, or any other residue."""
+    n = ring.modulus
+    kind = rng.randrange(4)
+    if kind == 0:
+        return FactoredElement.zero()
+    if kind == 1 and _radical(n) < n:  # rad(n)^4 is 0 mod n but is not the zero label
+        return FactoredElement((make_factor(Residue(_radical(n), n), ring, 4),))
+    return factored_from_residue(rng.randrange(1, 2 * n), ring)
+
+
+def random_raw_residue_graph(rng, nv=None):
+    """A graph built without normalization: edges may name the later vertex
+    first, and labels may vanish modulo n or be units."""
+    n = rng.randrange(2, 13)
+    ring = RingDescriptor.residues(n)
+    if nv is None:
+        nv = rng.randrange(1, 5)
+        while n**nv > 3000:
+            nv -= 1
+    vs = tuple(f"v{i}" for i in range(nv))
+    edges = []
+    for a, b in itertools.combinations(vs, 2):
+        if rng.random() < 0.6:
+            if rng.random() < 0.5:
+                a, b = b, a
+            edges.append(Edge(a, b, random_residue_label(rng, ring)))
+    return EdgeLabeledGraph(ring, vs, tuple(edges))
+
+
+def value_list(g):
+    return [tuple(x.value for x in s.value_tuple(g.vertices)) for s in enumerate_bruteforce(g)]
+
+
+def test_bruteforce_matches_product_reference():
+    rng = random.Random(97)
+    for k in range(120):
+        g = random_raw_residue_graph(rng) if k % 2 else random_residue_graph(rng)
+        splines = enumerate_bruteforce(g)
+        assert [tuple(x.value for x in s.value_tuple(g.vertices)) for s in splines] == product_bruteforce(g)
+        for s in splines:
+            assert tuple(s.values) == g.vertices
+            assert all(x == Residue(x.value, g.ring.modulus) for x in s.values.values())
+
+
+def test_bruteforce_edgeless_and_single_vertex():
+    for n in (2, 7, 12):
+        ring = RingDescriptor.residues(n)
+        one = EdgeLabeledGraph(ring, ("v",), ())
+        assert value_list(one) == [(x,) for x in range(n)]
+        three = EdgeLabeledGraph(ring, ("a", "b", "c"), ())
+        assert value_list(three) == list(itertools.product(range(n), repeat=3))
+
+
+def test_bruteforce_edge_declared_later_vertex_first():
+    ring = RingDescriptor.residues(12)
+    label = factored_from_residue(4, ring)
+    forward = EdgeLabeledGraph(ring, ("a", "b", "c"), (Edge("a", "c", label),))
+    backward = EdgeLabeledGraph(ring, ("a", "b", "c"), (Edge("c", "a", label),))
+    assert value_list(forward) == value_list(backward) == product_bruteforce(forward)
+    assert len(value_list(forward)) == 12 * 12 * 3
+
+
+def test_bruteforce_lexicographic_order_on_three_vertices():
+    rng = random.Random(101)
+    for _ in range(30):
+        g = random_raw_residue_graph(rng, nv=3)
+        tuples = value_list(g)
+        assert all(a < b for a, b in zip(tuples, tuples[1:]))
+
+
+def test_spline_set_matches_product_span_on_redundant_rows():
+    rng = random.Random(103)
+    for _ in range(60):
+        n = rng.randrange(2, 13)
+        width = rng.randrange(1, 4)
+        g = EdgeLabeledGraph(RingDescriptor.residues(n), tuple(f"v{i}" for i in range(width)), ())
+        rank = rng.randrange(0, 4)
+        rows = [tuple(rng.randrange(n) for _ in range(width)) for _ in range(rank)]
+        if rows and n ** (rank + 3) <= 20000:  # a repeated row, a multiple, a sum
+            rows.append(rows[0])
+            rows.append(tuple(3 * x % n for x in rows[-1]))
+            rows.append(tuple((x + y) % n for x, y in zip(rows[0], rows[-1])))
+        module = SplineModule(
+            g,
+            g.vertices,
+            tuple(tuple(Residue(x, n) for x in row) for row in rows),
+            tuple(0 for _ in rows),
+        )
+        assert spline_set(module) == product_span(rows, n, width)
+
+
+def test_spline_set_of_rows_not_in_hermite_form():
+    g = EdgeLabeledGraph(RingDescriptor.residues(12), ("u", "v", "w"), ())
+    rows = [(4, 6, 0), (6, 4, 0), (0, 9, 3), (8, 0, 0)]
+    module = SplineModule(g, g.vertices, tuple(tuple(Residue(x, 12) for x in r) for r in rows), (0, 0, 1, 0))
+    assert spline_set(module) == product_span(rows, 12, 3)
+
+
+@st.composite
+def residue_graphs(draw):
+    n = draw(st.integers(2, 12))
+    nv = draw(st.integers(1, 4))
+    while n**nv > 4000:
+        nv -= 1
+    vs = [f"v{i}" for i in range(nv)]
+    edges = [
+        (a, b, draw(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 18, n])))
+        for a, b in itertools.combinations(vs, 2)
+        if draw(st.booleans())
+    ]
+    return reduce_mod(int_graph(vs, edges), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_graphs())
+def test_residue_three_way_agreement_property(g):
+    brute = brute_set(g)
+    assert spline_set(solve_direct(g)) == brute
+    assert spline_set(incremental_assembled(g)[0]) == brute
