@@ -63,7 +63,7 @@ def parse_factor_text(text: str, ring: RingDescriptor) -> Tuple[Factor, ...]:
 
     Integer strings may be composite; they are split into primes so the
     factored-form invariants hold.  Polynomial strings must be irreducible
-    (checked for univariate degree <= 2, declared otherwise).
+    (checked for univariate degree <= 3, declared otherwise).
     """
     element = parse_element(text, ring.base())
     if ring.kind == INT:

@@ -22,9 +22,10 @@ needs no coordination.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import MixedRings, UnsupportedRing
 
@@ -33,10 +34,6 @@ MODINT = "ModInt"
 POLYQ = "PolyQ"
 
 Exponents = Tuple[int, ...]
-
-
-def _grlex_key(exps: Exponents):
-    return (sum(exps), exps)
 
 
 @dataclass(frozen=True)
@@ -82,33 +79,37 @@ class Residue:
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Terms are kept as a tuple of ``(exponent_vector, coefficient)`` pairs
-    sorted in descending graded-lexicographic order; zero coefficients are
-    never stored, so the zero polynomial is the empty term tuple.
+    Canonical form: ``terms`` is a tuple of ``(exponent_vector, coefficient)``
+    pairs in strictly descending graded-lexicographic order, every exponent
+    vector a tuple of ``nvars`` non-negative ints, every coefficient a nonzero
+    ``Fraction``; the zero polynomial is the empty tuple.  The constructor
+    validates and canonicalizes arbitrary input.  Arithmetic results are
+    canonical by construction and go through ``Poly._of``, which stores a term
+    tuple as given.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Union[Mapping, Iterable] = ()):
         acc: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if hasattr(terms, "items") else terms
         for exps, coeff in items:
             e = tuple(int(x) for x in exps)
             if len(e) != nvars or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {e} for {nvars} variable(s)")
             c = Fraction(coeff)
             if c:
-                acc[e] = acc.get(e, Fraction(0)) + c
+                acc[e] = acc[e] + c if e in acc else c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(
-                (e, c)
-                for e, c in sorted(acc.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-                if c
-            ),
-        )
+        object.__setattr__(self, "terms", _sorted_terms(acc))
+
+    @classmethod
+    def _of(cls, nvars: int, terms: Tuple[Tuple[Exponents, Fraction], ...]) -> "Poly":
+        """A polynomial whose ``terms`` are already in canonical form."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
@@ -116,12 +117,12 @@ class Poly:
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
         c = Fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        return cls._of(nvars, (((0,) * nvars, c),) if c else ())
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls._of(nvars, ((exps, Fraction(1)),))
 
     @property
     def is_zero(self) -> bool:
@@ -163,42 +164,61 @@ class Poly:
             return Poly.const(self.nvars, other)
         return None
 
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        if not other.terms:
+            return self
+        if not self.terms and sign > 0:
+            return other
+        merged = dict(self.terms)
+        for e, c in other.terms:
+            if sign < 0:
+                c = -c
+            merged[e] = merged[e] + c if e in merged else c
+        return Poly._of(self.nvars, _sorted_terms(merged))
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        merged = dict(self.terms)
-        for e, c in other.terms:
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return Poly(self.nvars, merged)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, tuple((e, -c) for e, c in self.terms))
+        return Poly._of(self.nvars, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
+    def _scaled(self, c: Fraction) -> "Poly":
+        # A nonzero rational keeps every coefficient nonzero and the order.
+        if c == 1:
+            return self
+        return Poly._of(self.nvars, tuple((e, k * c) for e, k in self.terms))
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Poly(self.nvars, tuple((e, k * c) for e, k in self.terms))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not self.terms or not other.terms:
+            return Poly._of(self.nvars, ())
+        if other.is_constant:
+            return self._scaled(other.terms[0][1])
+        if self.is_constant:
+            return other._scaled(self.terms[0][1])
         acc: dict = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, acc)
+                e = tuple(map(operator.add, e1, e2))
+                c = c1 * c2
+                acc[e] = acc[e] + c if e in acc else c
+        return Poly._of(self.nvars, _sorted_terms(acc))
 
     __rmul__ = __mul__
 
@@ -224,28 +244,72 @@ class Poly:
         return f"Poly({self.nvars}, {list(self.terms)!r})"
 
 
+def _term_key(term):
+    exps = term[0]
+    return (sum(exps), exps)
+
+
+def _sorted_terms(acc: dict) -> Tuple[Tuple[Exponents, Fraction], ...]:
+    """The nonzero terms of an exponent -> coefficient dict, grlex-descending."""
+    return tuple(sorted(((e, c) for e, c in acc.items() if c), key=_term_key, reverse=True))
+
+
 RingElement = Union[int, Residue, Poly]
 
 
+def _dense(p: Poly, var: int) -> List:
+    """Coefficients of a polynomial in at most the variable ``var``, indexed
+    by degree; positions without a term hold the int 0."""
+    if not p.terms:
+        return []
+    out: List = [0] * (p.terms[0][0][var] + 1)
+    for exps, c in p.terms:
+        out[exps[var]] = c
+    return out
+
+
+def _from_dense(coeffs: Sequence, nvars: int, var: int) -> Poly:
+    """The polynomial in the variable ``var`` with the given dense coefficients."""
+    before, after = (0,) * var, (0,) * (nvars - var - 1)
+    return Poly._of(
+        nvars,
+        tuple(
+            (before + (d,) + after, c) for d in range(len(coeffs) - 1, -1, -1) if (c := coeffs[d])
+        ),
+    )
+
+
 def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
-    """Univariate division with remainder; ``deg r < deg b``."""
+    """Univariate division with remainder; ``deg r < deg b``.
+
+    Runs on the dense coefficient lists of the one variable the operands
+    use and builds the quotient and the remainder once, at the end.
+    """
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.nvars != b.nvars:
         raise MixedRings("polynomials over different variable lists")
-    if len(b.used_variables()) > 1 or len(a.used_variables()) > 1:
-        raise UnsupportedRing("division with remainder needs univariate operands")
-    q = Poly(a.nvars, {})
-    r = a
-    (bexp, bc) = b.leading()
-    bdeg = sum(bexp)
-    while not r.is_zero and r.degree >= bdeg:
-        (rexp, rc) = r.leading()
-        diff = tuple(x - y for x, y in zip(rexp, bexp))
-        t = Poly(a.nvars, {diff: rc / bc})
-        q = q + t
-        r = r - t * b
-    return q, r
+    var = 0
+    if a.nvars > 1:
+        used = set(a.used_variables()) | set(b.used_variables())
+        if len(used) > 1:
+            raise UnsupportedRing("division with remainder needs univariate operands")
+        var = used.pop() if used else 0
+    r = _dense(a, var)
+    bc = _dense(b, var)
+    db = len(bc) - 1
+    lead = bc[db]
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db]
+        if not c:
+            continue
+        c = c / lead
+        q[k] = c
+        for j in range(db):
+            if bc[j]:
+                r[k + j] -= c * bc[j]
+    return _from_dense(q, a.nvars, var), _from_dense(r[:db], a.nvars, var)
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +543,24 @@ def exact_divide(a: RingElement, b: RingElement, ring: RingDescriptor) -> Option
             return None
         q = (a.value // g) * pow(b.value // g, -1, n // g) % (n // g)
         return Residue(q, n)
+    if ring.nvars == 1:
+        q, r = poly_divmod(a, b)
+        return None if r.terms else q
     # Multivariate exact division by iterated leading-term elimination
-    # under the graded-lexicographic order.
-    q = Poly(ring.nvars, {})
+    # under the graded-lexicographic order; the quotient's terms come out
+    # in descending order.
+    qterms = []
     r = a
     bexp, bc = b.leading()
-    while not r.is_zero:
-        rexp, rc = r.leading()
+    while r.terms:
+        rexp, rc = r.terms[0]
         diff = tuple(x - y for x, y in zip(rexp, bexp))
         if any(d < 0 for d in diff):
             return None
-        t = Poly(ring.nvars, {diff: rc / bc})
-        q = q + t
-        r = r - t * b
-    return q
+        t = (diff, rc / bc)
+        qterms.append(t)
+        r = r - Poly._of(ring.nvars, (t,)) * b
+    return Poly._of(ring.nvars, tuple(qterms))
 
 
 def is_associate(a: RingElement, b: RingElement, ring: RingDescriptor) -> bool:
@@ -580,23 +648,72 @@ def _rational_is_square(q: Fraction) -> bool:
     return rn * rn == q.numerator and rd * rd == q.denominator
 
 
-def _poly_irreducible_low_degree(p: Poly) -> bool:
-    """Irreducibility over the rationals for univariate degree <= 2."""
-    used = p.used_variables()
-    coeffs = {}
-    if used:
-        (v,) = used
-        for exps, c in p.terms:
-            coeffs[exps[v]] = c
+def _first_true(lo: int, hi: int, pred) -> int:
+    """The least ``y`` in ``[lo, hi]`` with ``pred(y)``, for a predicate that
+    is false and then true on that range; ``hi + 1`` when there is none."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _monic_cubic_has_integer_root(b: int, c: int, d: int) -> bool:
+    """Whether ``g(y) = y^3 + b*y^2 + c*y + d`` has an integer root.
+
+    Every real root lies in ``[-B, B]`` with ``B = 1 + max(|b|, |c|, |d|)``.
+    The step ``g(y+1) - g(y)`` is a convex quadratic in ``y``; it is negative
+    on at most one run ``[p, q]`` of integers, so ``g`` is monotone on the
+    integers of ``[-B, p]``, ``[p, q+1]`` and ``[q+1, B]``, and one bisection
+    per piece finds any integer root.
+    """
+
+    def g(y):
+        return ((y + b) * y + c) * y + d
+
+    def step(y):
+        return g(y + 1) - g(y)
+
+    bound = 1 + max(abs(b), abs(c), abs(d))
+    # The step's least value on the integers sits next to its vertex -(2b+3)/6.
+    m = (-(2 * b + 3)) // 6
+    m = min(m, m + 1, key=step)
+    if step(m) >= 0:
+        pieces = [(-bound, bound, 1)]
     else:
-        coeffs[0] = p.constant_value()
-    deg = max(coeffs)
+        p = _first_true(-bound, m, lambda y: step(y) < 0)
+        q1 = _first_true(m, bound, lambda y: step(y) >= 0)
+        pieces = [(-bound, p, 1), (p, q1, -1), (q1, bound, 1)]
+    for lo, hi, sign in pieces:
+        y = _first_true(lo, hi, lambda t: sign * g(t) >= 0)
+        if y <= hi and g(y) == 0:
+            return True
+    return False
+
+
+def _poly_irreducible_low_degree(p: Poly) -> bool:
+    """Irreducibility over the rationals for univariate degree <= 3.
+
+    A quadratic is irreducible exactly when its discriminant is not a
+    rational square, a cubic exactly when it has no rational root.
+    """
+    used = p.used_variables()
+    coeffs = _dense(p, used[0] if used else 0)
+    deg = len(coeffs) - 1
     if deg == 1:
         return True
-    a = coeffs.get(2, Fraction(0))
-    b = coeffs.get(1, Fraction(0))
-    c = coeffs.get(0, Fraction(0))
-    return not _rational_is_square(b * b - 4 * a * c)
+    if deg == 2:
+        c, b, a = coeffs
+        return not _rational_is_square(b * b - 4 * a * c)
+    # x = y/L turns the monic cubic into an integer monic one in y, whose
+    # rational roots are integers.
+    c0, c1, c2 = (Fraction(x) / coeffs[3] for x in coeffs[:3])
+    lcm = math.lcm(c0.denominator, c1.denominator, c2.denominator)
+    return not _monic_cubic_has_integer_root(
+        int(c2 * lcm), int(c1 * lcm**2), int(c0 * lcm**3)
+    )
 
 
 VERIFIED = "Verified"
@@ -609,7 +726,7 @@ class Factor:
 
     Integer factors must pass the deterministic primality check and are
     tagged ``Verified``.  Polynomial factors are trusted by declaration,
-    except univariate factors of degree <= 2 whose irreducibility over the
+    except univariate factors of degree <= 3 whose irreducibility over the
     rationals is actually checked.
     """
 
@@ -636,7 +753,7 @@ def make_factor(element, ring: RingDescriptor, multiplicity: int = 1) -> Factor:
         return Factor(element, multiplicity, DECLARED)
     if element.is_constant:
         raise ValueError("constants are not valid polynomial factors")
-    if len(element.used_variables()) == 1 and element.degree <= 2:
+    if len(element.used_variables()) == 1 and element.degree <= 3:
         if not _poly_irreducible_low_degree(element):
             raise ValueError(
                 f"'{format_element(element, ring)}' is reducible over the rationals"

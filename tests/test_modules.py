@@ -620,3 +620,53 @@ def test_residue_three_way_agreement_property(g):
     brute = brute_set(g)
     assert spline_set(solve_direct(g)) == brute
     assert spline_set(incremental_assembled(g)[0]) == brute
+
+
+QX_FACTORS = ("x", "x-1", "x+2", "x^2+1", "2*x-3")
+
+
+def int_labels():
+    return st.sampled_from([0, 2, 3, 5, 6, 10, 12, 15]).map(int_label)
+
+
+def qx_labels():
+    factor = st.sampled_from(QX_FACTORS).map(lambda t: parse_element(t, QX))
+    factored = st.dictionaries(factor, st.integers(1, 2), min_size=1, max_size=2).map(
+        lambda fs: FactoredElement(tuple(make_factor(f, QX, m) for f, m in fs.items()))
+    )
+    return st.one_of(st.just(FactoredElement.zero()), factored)
+
+
+@st.composite
+def connected_graphs(draw, ring, labels):
+    """Connected graphs on 1-5 vertices: a random spanning tree plus extra edges."""
+    nv = draw(st.integers(1, 5))
+    vs = [f"v{i}" for i in range(nv)]
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, nv)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), max_size=4)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    return normalize(ring, vs, [(vs[a], vs[b], draw(labels)) for a, b in sorted(pairs)])
+
+
+def assert_three_way(g):
+    direct = solve_direct(g)
+    inc, traces = incremental_assembled(g)
+    assert inc == direct
+    for t in traces:
+        if t.steps:
+            assert replay_trace(g, t) == t.steps[-1].matrix_after
+    for s in direct.basis:
+        assert gkm_check(g, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(ZZ, int_labels()))
+def test_int_three_way_agreement_property(g):
+    assert_three_way(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(QX, qx_labels()))
+def test_qx_three_way_agreement_property(g):
+    assert_three_way(g)

@@ -1,8 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsplines import (
     FactoredElement,
@@ -22,6 +25,7 @@ from gsplines import (
     parse_element,
     trivializes,
 )
+from gsplines.rings import _monic_cubic_has_integer_root, _poly_irreducible_low_degree, poly_divmod
 from conftest import QX, QXY, ZZ, int_label
 
 
@@ -147,6 +151,92 @@ def test_exact_divide_residues():
     assert exact_divide(Residue(3, 6), Residue(2, 6), r6) is None
 
 
+# --- arithmetic keeps the canonical form ---------------------------------------
+
+
+def test_poly_divmod_needs_one_variable_across_both_operands():
+    with pytest.raises(UnsupportedRing):
+        poly_divmod(qxy("x"), qxy("y"))
+    with pytest.raises(UnsupportedRing):
+        poly_divmod(qxy("x*y"), qxy("x"))
+    assert poly_divmod(qxy("y^2+1"), qxy("y-2")) == (qxy("y+2"), qxy("5"))
+    assert poly_divmod(qxy("3"), qxy("2")) == (qxy("3/2"), qxy("0"))
+
+
+SYMBOLS = sympy.symbols("x y")
+SMALL_Q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def exponent_vectors(nvars, var=None):
+    """Exponent vectors of total degree <= 4, in the variable ``var`` only if given."""
+    vectors = [e for e in itertools.product(range(5), repeat=nvars) if sum(e) <= 4]
+    return [e for e in vectors if var is None or sum(e) == e[var]]
+
+
+def polys(nvars, var=None):
+    exps = st.sampled_from(exponent_vectors(nvars, var))
+    return st.dictionaries(exps, SMALL_Q, max_size=6).map(lambda t: Poly(nvars, t))
+
+
+@st.composite
+def poly_pairs(draw, univariate=False):
+    nvars = draw(st.sampled_from([1, 2]))
+    var = draw(st.integers(0, nvars - 1)) if univariate else None
+    return draw(polys(nvars, var)), draw(polys(nvars, var))
+
+
+def assert_canonical(p):
+    """``p`` is what the validating constructor makes of its own terms."""
+    assert all(type(c) is Fraction for _, c in p.terms)
+    assert repr(p) == repr(Poly(p.nvars, dict(p.terms)))
+
+
+def to_sympy(p):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v**k for v, k in zip(SYMBOLS, e)))
+         for e, c in p.terms),
+        sympy.Integer(0),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_ring_operations_keep_canonical_form(pair):
+    a, b = pair
+    n = a.nvars
+    results = {
+        "+": (a + b, Poly(n, a.terms + b.terms)),
+        "-": (a - b, Poly(n, a.terms + tuple((e, -c) for e, c in b.terms))),
+        "neg": (-a, Poly(n, [(e, -c) for e, c in a.terms])),
+        "*": (a * b, Poly(n, [(tuple(map(sum, zip(e1, e2))), c1 * c2)
+                              for e1, c1 in a.terms for e2, c2 in b.terms])),
+        "scalar": (a * Fraction(-2, 3), Poly(n, [(e, c * Fraction(-2, 3)) for e, c in a.terms])),
+    }
+    for op, (got, expected) in results.items():
+        assert_canonical(got)
+        assert got == expected, op
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs(univariate=True))
+def test_poly_divmod_invariants_and_sympy(pair):
+    a, b = pair
+    if b.is_zero:
+        return
+    q, r = poly_divmod(a, b)
+    assert_canonical(q)
+    assert_canonical(r)
+    assert a == q * b + r
+    assert r.degree < b.degree
+    var = max(a.used_variables() + b.used_variables(), default=0)
+    sq, sr = sympy.div(to_sympy(a), to_sympy(b), SYMBOLS[var], domain="QQ")
+    assert sympy.expand(sq - to_sympy(q)) == 0
+    assert sympy.expand(sr - to_sympy(r)) == 0
+    exact = exact_divide(a * b, b, RingDescriptor.rational_polynomials(*"xy"[: a.nvars]))
+    assert exact == a
+    assert_canonical(exact)
+
+
 # --- associates -------------------------------------------------------------
 
 
@@ -186,11 +276,44 @@ def test_make_factor_polynomials():
         make_factor(qx("x^2-1"), QX)  # (x-1)(x+1)
     with pytest.raises(ValueError):
         make_factor(qx("x^2-2*x+1"), QX)  # (x-1)^2, square discriminant
-    # degree > 2 and multivariate factors are declared, not checked
-    assert make_factor(qx("x^3-2"), QX).irreducibility == "Declared"
+    # cubics are checked by their rational roots; x^3-2 has none
+    assert make_factor(qx("x^3-2"), QX).irreducibility == "Verified"
+    # degree > 3 and multivariate factors are declared, not checked
+    assert make_factor(qx("x^4+1"), QX).irreducibility == "Declared"
     assert make_factor(qxy("(x-10)^2+y^2-1"), QXY).irreducibility == "Declared"
     # normalization to the monic associate
     assert make_factor(qx("2*x-6"), QX).element == qx("x-3")
+
+
+def test_make_factor_cubics_by_rational_root():
+    for text in ("x^3-1", "x^3+x", "2*x^3-3*x^2+1", "x^3-1/4*x", "(x-1/3)*(x^2+x+1)",
+                 "(x-1000003)*(x^2+1)", "(x+7/5)^3"):
+        with pytest.raises(ValueError, match="reducible"):
+            make_factor(qx(text), QX)
+    for text in ("x^3-2", "x^3+x+1", "2*x^3-3*x+5/7", "x^3-1000003", "y^3-3*y+1"):
+        ring = RingDescriptor.rational_polynomials("y") if "y" in text else QX
+        f = make_factor(parse_element(text, ring), ring)
+        assert f.irreducibility == "Verified"
+
+
+def test_monic_cubic_integer_roots_match_exhaustive_search():
+    for b, c, d in itertools.product(range(-5, 6), repeat=3):
+        expected = any(((y + b) * y + c) * y + d == 0 for y in range(-40, 41))
+        assert _monic_cubic_has_integer_root(b, c, d) == expected, (b, c, d)
+
+
+def test_random_cubics_agree_with_sympy_irreducibility():
+    x = sympy.Symbol("x")
+    rng = random.Random(17)
+    for _ in range(300):
+        coeffs = [Fraction(rng.randrange(-60, 61), rng.randrange(1, 6)) for _ in range(3)]
+        if rng.random() < 0.5:  # plant a rational root r
+            r = Fraction(rng.randrange(-20, 21), rng.randrange(1, 6))
+            q1, q0 = coeffs[:2]
+            coeffs = [-r * q0, q0 - r * q1, q1 - r]
+        p = Poly(1, {(3,): 1, **{(i,): c for i, c in enumerate(coeffs)}})
+        expr = x**3 + sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
+        assert _poly_irreducible_low_degree(p) == sympy.Poly(expr, x, domain="QQ").is_irreducible
 
 
 def test_is_prime_and_factor_integer():
