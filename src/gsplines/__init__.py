@@ -44,6 +44,7 @@ from .modules import (
     MembershipResult,
     Spline,
     SplineModule,
+    bruteforce_values,
     build_incremental,
     enumerate_bruteforce,
     flow_up_normalize,

@@ -55,8 +55,7 @@ class BasicOpen:
     def __post_init__(self):
         if not self.invert:
             raise ValueError(f"open {self.name!r} must invert at least one factor")
-        keys = [canonical_key(f.element) for f in self.invert]
-        if len(set(keys)) != len(keys):
+        if len({f.element for f in self.invert}) != len(self.invert):
             raise ValueError(f"open {self.name!r} repeats a factor")
 
 
@@ -91,16 +90,11 @@ def _common_factor(opens: Sequence[BasicOpen]) -> Optional[RingElement]:
     """A factor associate-present in every open's inverted list, if any."""
     common = None
     for o in opens:
-        keys = {canonical_key(f.element): f.element for f in o.invert}
-        if common is None:
-            common = keys
-        else:
-            common = {k: v for k, v in common.items() if k in keys}
+        elements = {f.element for f in o.invert}
+        common = elements if common is None else common & elements
         if not common:
             return None
-    for k in sorted(common):
-        return common[k]
-    return None
+    return min(common, key=canonical_key) if common else None
 
 
 def _single_variable_subproducts(

@@ -17,7 +17,7 @@ from .certificates import check_cover, verify_certificate
 from .errors import ComputationError, InputError, InternalError
 from .graphs import contract_edge, delete_edge, delete_vertex, reduce_mod, restrict
 from .modules import (
-    enumerate_bruteforce,
+    bruteforce_values,
     incremental_assembled,
     solve_direct,
     spline_set,
@@ -69,10 +69,7 @@ def cmd_verify(args) -> int:
         gn = g
     else:
         raise InputError("verify needs an integer graph (or a matching residue graph)")
-    brute = frozenset(
-        tuple(x.value for x in s.value_tuple(gn.vertices))
-        for s in enumerate_bruteforce(gn)
-    )
+    brute = frozenset(bruteforce_values(gn))
     direct_module = solve_direct(gn)
     incremental_module = incremental_assembled(gn)[0]
     direct = spline_set(direct_module)

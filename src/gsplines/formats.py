@@ -34,6 +34,7 @@ from .rings import (
     Factor,
     FactoredElement,
     RingDescriptor,
+    RingElement,
     canonical_key,
     factored_from_residue,
     format_element,
@@ -72,15 +73,14 @@ def parse_factor_text(text: str, ring: RingDescriptor) -> Tuple[Factor, ...]:
 
 
 def factor_list(texts: Sequence[str], ring: RingDescriptor, where: str) -> Tuple[Factor, ...]:
-    out: Dict[object, Factor] = {}
+    out: Dict[RingElement, Factor] = {}
     for text in texts:
         _expect(isinstance(text, str), f"{where} entries must be strings")
         for f in parse_factor_text(text, ring):
-            key = canonical_key(f.element)
-            old = out.get(key)
+            old = out.get(f.element)
             if old is None or f.multiplicity > old.multiplicity:
-                out[key] = f
-    return tuple(out[k] for k in sorted(out))
+                out[f.element] = f
+    return tuple(sorted(out.values(), key=lambda f: canonical_key(f.element)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def _label_from_json(obj: dict, ring: RingDescriptor, where: str) -> FactoredEle
         return FactoredElement.zero()
     factors = obj.get("factors")
     _expect(isinstance(factors, list), f"{where}: 'label.factors' must be a list")
-    merged: Dict[object, Factor] = {}
+    merged: Dict[RingElement, Factor] = {}
     for item in factors:
         _expect(
             isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
@@ -159,9 +159,8 @@ def _label_from_json(obj: dict, ring: RingDescriptor, where: str) -> FactoredEle
                 for f in parse_factor_text(text, ring)
             )
         for f in parts:
-            key = canonical_key(f.element)
-            old = merged.get(key)
-            merged[key] = (
+            old = merged.get(f.element)
+            merged[f.element] = (
                 f if old is None else Factor(f.element, old.multiplicity + f.multiplicity, f.irreducibility)
             )
     if ring.kind == MODINT and merged:

@@ -20,7 +20,7 @@ from .rings import (
     Factor,
     FactoredElement,
     RingDescriptor,
-    canonical_key,
+    RingElement,
     check_element,
     edge_modulus,
     factored_from_residue,
@@ -84,12 +84,11 @@ def _intersect_labels(
         return factored_from_residue(
             math.lcm(edge_modulus(l1, ring), edge_modulus(l2, ring)), ring
         )
-    merged: Dict[object, Factor] = {}
-    for f in list(l1.factors) + list(l2.factors):
-        key = canonical_key(f.element)
-        old = merged.get(key)
+    merged: Dict[RingElement, Factor] = {}
+    for f in l1.factors + l2.factors:
+        old = merged.get(f.element)
         if old is None or f.multiplicity > old.multiplicity:
-            merged[key] = f
+            merged[f.element] = f
     return FactoredElement(tuple(merged.values()))
 
 
@@ -230,11 +229,11 @@ def restrict(g: EdgeLabeledGraph, invert: Iterable[Factor]) -> RestrictionOutcom
     if g.ring.kind == MODINT:
         raise UnsupportedRing("residue rings cannot be localized")
     new_ring = g.ring.localize(invert)
-    inverted_elements = [f.element for f in new_ring.inverted]
+    inverted = frozenset(new_ring.inverted_elements())
     kept: List[Edge] = []
     trivialized: List[Edge] = []
     for e in g.edges:
-        new_label = e.label.without(inverted_elements, g.ring)
+        new_label = e.label.without(inverted)
         if new_label.is_unit_ideal():
             trivialized.append(e)
         else:

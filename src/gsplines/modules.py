@@ -8,7 +8,8 @@ all splines is computed three independent ways:
   kernel problem and reduces it with Hermite-style column operations,
 * ``build_incremental`` grows the module edge by edge, extending by a new
   leaf vertex or imposing one further congruence on coefficients,
-* ``enumerate_bruteforce`` lists every labeling over a residue ring.
+* ``bruteforce_values`` lists every labeling over a residue ring
+  (``enumerate_bruteforce`` as ``Spline``s).
 
 The solvers compute over a Euclidean ring: ``Int``, univariate ``Q[x]``,
 or ``Int`` for the residue ring ``Z/n``.  A residue ring enters through the
@@ -180,7 +181,7 @@ def _edge_generator(label: FactoredElement, ring: RingDescriptor) -> RingElement
     if ring.kind == MODINT:
         return edge_modulus(label, ring)
     if ring.inverted:
-        label = label.without(ring.inverted_elements(), ring)
+        label = label.without(ring.inverted_elements())
     return label.expand(ring)
 
 
@@ -579,8 +580,9 @@ def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
 # brute force enumeration over residue rings
 
 
-def enumerate_bruteforce(g: EdgeLabeledGraph) -> List[Spline]:
-    """Every labeling over a residue ring passing the congruence check.
+def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
+    """The value tuples, in ``g.vertices`` order, of every labeling over a
+    residue ring passing the congruence check.
 
     A search along ``g.vertices``: prefixes of values grow one vertex at a
     time, and each edge congruence ``edge_modulus(label) | x_i - x_j`` is
@@ -620,9 +622,16 @@ def enumerate_bruteforce(g: EdgeLabeledGraph) -> List[Spline]:
             for x in range(p[i0] % m0, n, m0)
             if all((x - p[i]) % m == 0 for i, m in rest)
         ]
+    return prefixes
+
+
+def enumerate_bruteforce(g: EdgeLabeledGraph) -> List[Spline]:
+    """``bruteforce_values`` as ``Spline``s, in the same order."""
+    values = bruteforce_values(g)
+    n = g.ring.modulus
     # One shared Residue per value; every value occurs at the first vertex.
-    table = [Residue(x, n) for x in range(n)] if nv else []
-    return [Spline(g, dict(zip(g.vertices, map(table.__getitem__, p)))) for p in prefixes]
+    table = [Residue(x, n) for x in range(n)] if g.vertices else []
+    return [Spline(g, dict(zip(g.vertices, map(table.__getitem__, p)))) for p in values]
 
 
 def spline_set(module: SplineModule) -> frozenset:

@@ -25,7 +25,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Container, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import MixedRings, UnsupportedRing
 
@@ -85,10 +85,11 @@ class Poly:
     ``Fraction``; the zero polynomial is the empty tuple.  The constructor
     validates and canonicalizes arbitrary input.  Arithmetic results are
     canonical by construction and go through ``Poly._of``, which stores a term
-    tuple as given.
+    tuple as given.  Canonical terms make ``==`` and ``hash`` decide equality
+    of polynomials; the hash is computed on first use and kept in ``_hash``.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: Union[Mapping, Iterable] = ()):
         acc: dict = {}
@@ -230,15 +231,21 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, self.terms))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.nvars, self.terms))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"Poly({self.nvars}, {list(self.terms)!r})"
@@ -387,11 +394,11 @@ class RingDescriptor:
     def localize(self, factors: Iterable["Factor"]) -> "RingDescriptor":
         if self.kind == MODINT:
             raise UnsupportedRing("residue rings cannot be localized")
-        merged = {canonical_key(f.element): f for f in self.inverted}
+        merged = {f.element: f for f in self.inverted}
         for f in factors:
             check_element(f.element, self.base())
-            merged.setdefault(canonical_key(f.element), Factor(f.element, 1, f.irreducibility))
-        ordered = tuple(merged[k] for k in sorted(merged))
+            merged.setdefault(f.element, Factor(f.element, 1, f.irreducibility))
+        ordered = tuple(sorted(merged.values(), key=_factor_key))
         return replace(self, inverted=ordered)
 
     def inverted_elements(self) -> Tuple[RingElement, ...]:
@@ -462,7 +469,13 @@ def normalized_associate(x: RingElement, ring: RingDescriptor) -> RingElement:
 
 
 def canonical_key(x: RingElement):
-    """A sortable, deterministic key for canonical-form elements."""
+    """The sort key of canonical-form elements: factor lists, inverted lists
+    and reports are ordered by it.
+
+    It is a sort key only.  Normalized factors are canonical ``Poly``s,
+    positive ints or residues, so the element's own ``==`` and ``hash``
+    decide "same factor"; sets and dicts of factors hold the elements.
+    """
     if isinstance(x, int):
         return (0, x, "")
     if isinstance(x, Residue):
@@ -735,6 +748,10 @@ class Factor:
     irreducibility: str = DECLARED
 
 
+def _factor_key(f: Factor):
+    return canonical_key(f.element)
+
+
 def make_factor(element, ring: RingDescriptor, multiplicity: int = 1) -> Factor:
     """Validate and canonicalize a factor for ``ring``'s base ring."""
     if multiplicity < 1:
@@ -786,12 +803,9 @@ class FactoredElement:
     def __post_init__(self):
         if self.is_zero and self.factors:
             raise ValueError("the zero ideal carries no factors")
-        keys = [canonical_key(f.element) for f in self.factors]
-        if len(set(keys)) != len(keys):
+        if len({f.element for f in self.factors}) != len(self.factors):
             raise ValueError("factors must be pairwise non-associate")
-        object.__setattr__(
-            self, "factors", tuple(sorted(self.factors, key=lambda f: canonical_key(f.element)))
-        )
+        object.__setattr__(self, "factors", tuple(sorted(self.factors, key=_factor_key)))
 
     @classmethod
     def zero(cls) -> "FactoredElement":
@@ -812,13 +826,14 @@ class FactoredElement:
     def is_unit_ideal(self) -> bool:
         return not self.is_zero and not self.factors
 
-    def without(self, elements: Sequence[RingElement], ring: RingDescriptor) -> "FactoredElement":
-        """Drop the factors associate to any element of ``elements``."""
+    def without(self, drop: Container[RingElement]) -> "FactoredElement":
+        """Drop the factors whose element is in ``drop``, a set (or any
+        container) of normalized associates such as a ring's inverted
+        elements."""
         if self.is_zero:
             return self
-        drop = {canonical_key(normalized_associate(e, ring.base())) for e in elements}
-        kept = tuple(f for f in self.factors if canonical_key(f.element) not in drop)
-        return FactoredElement(kept, False)
+        kept = tuple(f for f in self.factors if f.element not in drop)
+        return self if len(kept) == len(self.factors) else FactoredElement(kept, False)
 
 
 def factored_from_residue(value: int, ring: RingDescriptor) -> FactoredElement:
@@ -855,8 +870,8 @@ def trivializes(label: FactoredElement, ring: RingDescriptor) -> bool:
     """
     if label.is_zero:
         return False
-    inverted = {canonical_key(f.element) for f in ring.inverted}
-    return all(canonical_key(f.element) in inverted for f in label.factors)
+    inverted = set(ring.inverted_elements())
+    return all(f.element in inverted for f in label.factors)
 
 
 # ---------------------------------------------------------------------------

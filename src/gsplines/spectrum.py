@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import UnrelatedGraphs
-from .graphs import Edge, EdgeLabeledGraph, restrict
+from .graphs import EdgeLabeledGraph, restrict
 from .rings import (
     Factor,
     RingDescriptor,
@@ -83,33 +83,39 @@ def _partition(vertices: Sequence[str], pairs: Iterable[Tuple[str, str]]):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
+    # A class is created when its first vertex is met, so the dict keeps
+    # the classes in order of their first vertex.
     classes: Dict[str, List[str]] = {}
     for v in vertices:
         classes.setdefault(find(v), []).append(v)
-    ordered = sorted(classes.values(), key=lambda c: vertices.index(c[0]))
-    return tuple(tuple(c) for c in ordered)
-
-
-def _edge_divisible_by(e: Edge, key) -> bool:
-    if e.label.is_zero:
-        return True
-    return any(canonical_key(f.element) == key for f in e.label.factors)
+    return tuple(tuple(c) for c in classes.values())
 
 
 def fiber_over(g: EdgeLabeledGraph, p: Union[Factor, RingElement]):
     """Partition of the vertices into classes glued over the factor ``p``."""
-    element = p.element if isinstance(p, Factor) else p
-    key = canonical_key(normalized_associate(element, g.ring.base()))
-    pairs = [(e.a, e.b) for e in g.edges if _edge_divisible_by(e, key)]
+    element = normalized_associate(p.element if isinstance(p, Factor) else p, g.ring.base())
+    pairs = [
+        (e.a, e.b)
+        for e in g.edges
+        if e.label.is_zero or any(f.element == element for f in e.label.factors)
+    ]
     return _partition(g.vertices, pairs)
 
 
-def _relevant_primes(g: EdgeLabeledGraph) -> List[RingElement]:
-    seen: Dict[object, RingElement] = {}
+def _fibers(g: EdgeLabeledGraph) -> Dict[RingElement, Tuple[Tuple[str, ...], ...]]:
+    """``fiber_over`` at every factor of a label, in ``canonical_key``
+    order, from one pass over the edges; zero labels glue in every fiber."""
+    glued: Dict[RingElement, List[Tuple[str, str]]] = {}
+    everywhere: List[Tuple[str, str]] = []
     for e in g.edges:
+        if e.label.is_zero:
+            everywhere.append((e.a, e.b))
         for f in e.label.factors:
-            seen.setdefault(canonical_key(f.element), f.element)
-    return [seen[k] for k in sorted(seen)]
+            glued.setdefault(f.element, []).append((e.a, e.b))
+    return {
+        p: _partition(g.vertices, everywhere + glued[p])
+        for p in sorted(glued, key=canonical_key)
+    }
 
 
 def _links_of(g: EdgeLabeledGraph) -> List[Link]:
@@ -132,8 +138,7 @@ def _cycle_data(vertices: Sequence[str], links: Sequence[Link]):
 
 def spectrum_report(g: EdgeLabeledGraph) -> SpectrumReport:
     """Fibers, gluing links, hole count and component count for ``g``."""
-    primes = _relevant_primes(g)
-    fibers = {p: fiber_over(g, p) for p in primes}
+    fibers = _fibers(g)
     links = _links_of(g)
     hole_count, components = _cycle_data(g.vertices, links)
     glued_pairs = tuple((e.a, e.b) for e in g.edges if e.label.is_zero)
@@ -141,7 +146,7 @@ def spectrum_report(g: EdgeLabeledGraph) -> SpectrumReport:
     return SpectrumReport(
         vertices=g.vertices,
         ring=g.ring,
-        relevant_primes=tuple(primes),
+        relevant_primes=tuple(fibers),
         fibers=fibers,
         links=tuple(links),
         fully_glued_pairs=glued_pairs,
@@ -164,19 +169,13 @@ def base_change_commutes(g: EdgeLabeledGraph, invert) -> BaseChangeCheck:
     """
     outcome = restrict(g, invert)
     restricted = spectrum_report(outcome.graph)
-    inverted_keys = {
-        canonical_key(f.element) for f in outcome.graph.ring.inverted
-    }
+    inverted = frozenset(outcome.graph.ring.inverted_elements())
 
     full = spectrum_report(g)
-    surviving = [
-        p for p in full.relevant_primes if canonical_key(p) not in inverted_keys
-    ]
+    surviving = [p for p in full.relevant_primes if p not in inverted]
     fibers = {p: full.fibers[p] for p in surviving}
     links = tuple(
-        (a, b, p)
-        for a, b, p in full.links
-        if p == GENERIC or canonical_key(p) not in inverted_keys
+        (a, b, p) for a, b, p in full.links if p == GENERIC or p not in inverted
     )
     hole_count, components = _cycle_data(full.vertices, links)
     filtered = SpectrumReport(
@@ -198,7 +197,7 @@ def base_change_commutes(g: EdgeLabeledGraph, invert) -> BaseChangeCheck:
         for p in restricted.relevant_primes:
             if restricted.fibers[p] != filtered.fibers[p]:
                 issues.append(f"fiber at {format_element(p, g.ring)} differs")
-    if sorted(restricted.links, key=repr) != sorted(filtered.links, key=repr):
+    if Counter(restricted.links) != Counter(filtered.links):
         issues.append("gluing links differ")
     if restricted.hole_count != filtered.hole_count:
         issues.append(
@@ -288,16 +287,11 @@ def spectrum_diff(before: EdgeLabeledGraph, after: EdgeLabeledGraph) -> Spectrum
         for _ in range(count):
             lines.append(f"gluing added: {a}-{b} at {tag}")
 
-    keys_before = {canonical_key(p): p for p in rb.relevant_primes}
-    keys_after = {canonical_key(p): p for p in ra.relevant_primes}
-    for key in sorted(set(keys_before) | set(keys_after)):
-        pb = keys_before.get(key)
-        pa = keys_after.get(key)
-        tb = _classes_text(rb.fibers[pb]) if pb is not None else "(absent)"
-        ta = _classes_text(ra.fibers[pa]) if pa is not None else "(absent)"
+    for p in sorted(rb.fibers.keys() | ra.fibers.keys(), key=canonical_key):
+        tb = _classes_text(rb.fibers[p]) if p in rb.fibers else "(absent)"
+        ta = _classes_text(ra.fibers[p]) if p in ra.fibers else "(absent)"
         if tb != ta:
-            name = format_element(pb if pb is not None else pa, ring)
-            lines.append(f"fiber at {name}: {tb} -> {ta}")
+            lines.append(f"fiber at {format_element(p, ring)}: {tb} -> {ta}")
 
     if rb.components != ra.components:
         note = " (copies no longer glued)" if ra.components > rb.components else ""

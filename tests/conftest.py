@@ -1,6 +1,7 @@
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 from gsplines import (
     BasicOpen,
@@ -105,3 +106,41 @@ def hexpoly_opens():
 @pytest.fixture
 def hexpoly():
     return hexpoly_graph()
+
+
+# Factor texts per ring; several are non-monic or negative, so the factor
+# element is an associate built by arithmetic, not the parsed object.
+FACTOR_TEXTS = {
+    ZZ: ("2", "3", "5", "-7", "11"),
+    QX: ("x", "x-1", "2*x+4", "x^2+1", "-x^2+2", "3*x^3-6"),
+    QXY: ("x", "y", "x-y", "2*x+2*y-2", "x^2+y^2-1", "(x-10)^2+y^2-1", "-x*y+1"),
+}
+
+
+def parse_factor(text, ring, multiplicity=1):
+    """A fresh normalized factor object for ``text``."""
+    return make_factor(parse_element(text, ring), ring, multiplicity)
+
+
+@st.composite
+def factored_graphs(draw):
+    """A normalized graph over Int, Q[x] or Q[x,y] on 1-5 vertices whose
+    labels are zero (about one in six) or products of factors drawn, with
+    multiplicities 1-2, from ``FACTOR_TEXTS``; every factor is parsed
+    afresh, so equal factors are distinct objects."""
+    ring = draw(st.sampled_from(list(FACTOR_TEXTS)))
+    texts = FACTOR_TEXTS[ring]
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    edges = []
+    for _ in range(draw(st.integers(0, 2 * len(vertices)))):
+        a = draw(st.sampled_from(vertices))
+        b = draw(st.sampled_from(vertices))
+        if draw(st.integers(0, 5)) == 0:
+            label = FactoredElement.zero()
+        else:
+            chosen = draw(st.sets(st.sampled_from(texts), min_size=1, max_size=3))
+            label = FactoredElement(tuple(
+                parse_factor(t, ring, draw(st.integers(1, 2))) for t in sorted(chosen)
+            ))
+        edges.append((a, b, label))
+    return normalize(ring, vertices, edges)

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsplines import (
+    Edge,
     FactoredElement,
     NoSuchEdge,
     NoSuchVertex,
@@ -19,8 +22,10 @@ from gsplines import (
     normalize,
     reduce_mod,
     restrict,
+    trivializes,
 )
-from conftest import ZZ, int_graph, int_label
+from gsplines.rings import canonical_key, normalized_associate
+from conftest import FACTOR_TEXTS, ZZ, factored_graphs, int_graph, int_label, parse_factor
 
 
 def edge_labels(g):
@@ -177,6 +182,32 @@ def test_restrict_edge_bijection():
         gone = {(e.a, e.b) for e in out.trivialized_edges}
         assert kept | gone == {(e.a, e.b) for e in g.edges}
         assert not kept & gone
+
+
+def key_reference_without(label, elements, ring):
+    """``label`` without the factors whose ``canonical_key`` is that of the
+    normalized associate of one of ``elements``."""
+    if label.is_zero:
+        return label
+    drop = {canonical_key(normalized_associate(x, ring.base())) for x in elements}
+    return FactoredElement(tuple(f for f in label.factors if canonical_key(f.element) not in drop))
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_graphs(), st.data())
+def test_restrict_labels_match_canonical_key_reference(g, data):
+    texts = data.draw(st.sets(st.sampled_from(FACTOR_TEXTS[g.ring]), max_size=3))
+    invert = [parse_factor(t, g.ring) for t in sorted(texts)]
+    out = restrict(g, invert)
+    kept, gone = iter(out.graph.edges), iter(out.trivialized_edges)
+    for e in g.edges:
+        expected = key_reference_without(e.label, [f.element for f in invert], g.ring)
+        if expected.is_unit_ideal():
+            assert next(gone) == e
+        else:
+            assert next(kept) == Edge(e.a, e.b, expected)
+        assert trivializes(e.label, out.graph.ring) == expected.is_unit_ideal()
+    assert next(kept, None) is None and next(gone, None) is None
 
 
 # --- deletion / contraction ---------------------------------------------------

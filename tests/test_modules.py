@@ -23,6 +23,7 @@ from gsplines import (
     SplineModule,
     TooLarge,
     UnsupportedRing,
+    bruteforce_values,
     build_incremental,
     connected_components,
     enumerate_bruteforce,
@@ -539,7 +540,9 @@ def test_bruteforce_matches_product_reference():
     for k in range(120):
         g = random_raw_residue_graph(rng) if k % 2 else random_residue_graph(rng)
         splines = enumerate_bruteforce(g)
-        assert [tuple(x.value for x in s.value_tuple(g.vertices)) for s in splines] == product_bruteforce(g)
+        values = bruteforce_values(g)
+        assert values == product_bruteforce(g)
+        assert [tuple(x.value for x in s.value_tuple(g.vertices)) for s in splines] == values
         for s in splines:
             assert tuple(s.values) == g.vertices
             assert all(x == Residue(x.value, g.ring.modulus) for x in s.values.values())

@@ -237,6 +237,31 @@ def test_poly_divmod_invariants_and_sympy(pair):
     assert_canonical(exact)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(polys), st.integers(0, 6))
+def test_poly_pow_matches_repeated_multiplication(p, k):
+    expected = Poly.const(p.nvars, 1)
+    for _ in range(k):
+        expected = expected * p
+    got = p**k
+    assert_canonical(got)
+    assert got == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_poly_hash_is_cached_and_agrees_with_rebuilt(pair):
+    a, b = pair
+    for p in (a, a + b, a * b, -b):
+        rebuilt = Poly(p.nvars, dict(p.terms))
+        fresh = Poly(p.nvars, dict(p.terms))
+        assert not hasattr(fresh, "_hash")
+        first = hash(fresh)
+        assert fresh._hash == first  # kept on first use
+        assert hash(fresh) == first == hash(rebuilt) == hash(p) == hash(p)
+        assert {p: 1}[rebuilt] == 1
+
+
 # --- associates -------------------------------------------------------------
 
 

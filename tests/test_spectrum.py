@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsplines import (
     FactoredElement,
@@ -15,7 +18,8 @@ from gsplines import (
     spectrum_diff,
     spectrum_report,
 )
-from conftest import ZZ, int_graph, int_label
+from gsplines.rings import canonical_key
+from conftest import FACTOR_TEXTS, ZZ, factored_graphs, int_graph, int_label, parse_factor
 
 
 def classes(partition):
@@ -134,6 +138,51 @@ def test_fiber_counts(triangle):
         assert len(rep.fibers[p]) == len(triangle.vertices) - divisible
 
 
+def key_reference_fiber(g, element):
+    """The classes glued over ``element`` by definition: the edges whose
+    label is zero or has a factor with the same ``canonical_key``, closed
+    under connectivity, classes in order of their first vertex."""
+    key = canonical_key(element)
+    adj = {v: [] for v in g.vertices}
+    for e in g.edges:
+        if e.label.is_zero or any(canonical_key(f.element) == key for f in e.label.factors):
+            adj[e.a].append(e.b)
+            adj[e.b].append(e.a)
+    seen, classes = set(), []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        classes.append(tuple(w for w in g.vertices if w in comp))
+    return tuple(classes)
+
+
+def associate(p):
+    """A different generator of the same ideal."""
+    return -p if isinstance(p, int) else p * Fraction(-3, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_graphs())
+def test_fibers_match_canonical_key_reference(g):
+    report = spectrum_report(g)
+    keys = {canonical_key(f.element) for e in g.edges for f in e.label.factors}
+    assert [canonical_key(p) for p in report.relevant_primes] == sorted(keys)
+    assert tuple(report.fibers) == report.relevant_primes
+    for p in report.relevant_primes:
+        assert report.fibers[p] == key_reference_fiber(g, p)
+        assert fiber_over(g, associate(p)) == report.fibers[p]
+    for text in FACTOR_TEXTS[g.ring]:
+        f = parse_factor(text, g.ring)
+        assert fiber_over(g, f) == key_reference_fiber(g, f.element)
+
+
 # --- base change ------------------------------------------------------------------
 
 
@@ -174,6 +223,14 @@ def test_base_change_random():
         invert = [make_factor(p, ZZ) for p in rng.sample(primes, rng.randrange(0, 4))]
         check = base_change_commutes(g, invert)
         assert check.commutes, (edges, invert, check.discrepancies)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factored_graphs(), st.data())
+def test_base_change_commutes_on_random_graphs(g, data):
+    texts = data.draw(st.sets(st.sampled_from(FACTOR_TEXTS[g.ring]), max_size=3))
+    check = base_change_commutes(g, [parse_factor(t, g.ring) for t in sorted(texts)])
+    assert check.commutes, check.discrepancies
 
 
 # --- diffs -----------------------------------------------------------------------
