@@ -131,10 +131,6 @@ def normalize(
     return EdgeLabeledGraph(ring, vertices, tuple(out))
 
 
-def renormalize(g: EdgeLabeledGraph) -> EdgeLabeledGraph:
-    return normalize(g.ring, g.vertices, [(e.a, e.b, e.label) for e in g.edges])
-
-
 def connected_components(g: EdgeLabeledGraph) -> List[EdgeLabeledGraph]:
     """Split into components; vertices and edges keep declaration order."""
     adj = g.adjacency()

@@ -23,7 +23,15 @@ is the same on every ring.
 Bases are kept in flow-up (Hermite) form with respect to a fixed vertex
 order: row ``i`` vanishes on the vertices before its pivot, pivots are
 normalized associates, and entries above a pivot are reduced modulo it.
-That form is unique, which makes golden tests possible.
+That form is unique, which makes golden tests possible, and it lets the
+Hermite core take whatever route costs least to reach it:
+
+* ``hermite_rows`` files each row under its leading column and touches a
+  row again only when a combination changed it,
+* ``_row_combine`` eliminates with one subtraction when one pivot entry
+  divides the other, and uses the extended-gcd transform otherwise,
+* a leaf pullback in ``_step`` starts from a canonical basis, so only the
+  new column needs reducing, modulo the normalized edge generator.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .rings import (
     Residue,
     RingDescriptor,
     RingElement,
+    _extended_gcd_int,
     coerce,
     edge_modulus,
     exact_divide,
@@ -92,12 +101,6 @@ class SplineModule:
     def basis(self) -> Tuple[Spline, ...]:
         return tuple(
             Spline(self.graph, dict(zip(self.vertex_order, row))) for row in self.rows
-        )
-
-    @property
-    def leading_entries(self) -> Tuple[Tuple[str, RingElement], ...]:
-        return tuple(
-            (self.vertex_order[p], row[p]) for row, p in zip(self.rows, self.pivots)
         )
 
 
@@ -219,23 +222,49 @@ def _require_euclidean_ring(ring: RingDescriptor, op: str) -> None:
 
 
 def _divmod_reduce(a: RingElement, p: RingElement, ring: RingDescriptor):
-    """``(q, r)`` with ``a = q*p + r`` and ``r`` canonically reduced.
+    """``(q, r)`` with ``a = q*p + r``; ``r`` is zero exactly when ``p``
+    divides ``a``.
 
-    Pivots are normalized (positive / monic), so integers land in
-    ``[0, p)`` and polynomials in degrees below ``deg p``.
+    For a normalized (positive / monic) ``p``, such as a pivot, ``r`` is
+    canonically reduced: integers land in ``[0, p)`` and polynomials in
+    degrees below ``deg p``.
     """
     if ring.kind == INT:
-        return a // p, a % p
+        return divmod(a, p)
     return poly_divmod(a, p)
 
 
+def _minus_multiple(row: Vector, q: RingElement, by: Vector) -> Vector:
+    """``row - q*by``, computed only where ``by`` is nonzero."""
+    return tuple(x - q * y if y else x for x, y in zip(row, by))
+
+
 def _row_combine(r1: Vector, r2: Vector, ring: RingDescriptor, col: int):
-    """Unimodular 2x2 transform leaving gcd at ``col`` of the first row and
-    zero at ``col`` of the second."""
+    """Unimodular 2x2 transform taking two rows with nonzero entries at
+    ``col`` to a row whose entry there is their gcd and a row whose entry
+    there is zero, in that order.
+
+    When one entry divides the other, the transform is one elimination:
+    the row with the dividing entry is kept and the other row loses a
+    multiple of it, computed only where the kept row is nonzero.  ``r2``'s
+    entry is tried as the divisor first, so for associate entries ``r2`` is
+    kept, as the extended-gcd transform keeps it; in the kernel solver that
+    choice spreads fewer nonzeros into the columns still to be reduced.
+    Otherwise it is the transform ``(u*r1 + v*r2, (b/g)*r1 - (a/g)*r2)``
+    with ``u*a + v*b = g``.
+    """
+    for kept, other in ((r2, r1), (r1, r2)):
+        q, rem = _divmod_reduce(other[col], kept[col], ring)
+        if not rem:
+            return kept, _minus_multiple(other, q, kept)
     a, b = r1[col], r2[col]
-    g, u, v = extended_gcd(a, b, ring)
-    ca = exact_divide(a, g, ring)
-    cb = exact_divide(b, g, ring)
+    if ring.kind == INT:
+        g, u, v = _extended_gcd_int(a, b)
+        ca, cb = a // g, b // g
+    else:
+        g, u, v = extended_gcd(a, b, ring)
+        ca = exact_divide(a, g, ring)
+        cb = exact_divide(b, g, ring)
     new1 = tuple(u * x + v * y for x, y in zip(r1, r2))
     new2 = tuple(cb * x - ca * y for x, y in zip(r1, r2))
     return new1, new2
@@ -249,30 +278,47 @@ def _normalize_row(row: Vector, col: int, ring: RingDescriptor) -> Vector:
     return tuple(x * inv for x in row)
 
 
+def _file_row(buckets: List[List[Vector]], row: Vector, start: int) -> None:
+    """Append ``row`` to the bucket of its first nonzero column at or after
+    ``start``; a row that is zero there is dropped."""
+    for col in range(start, len(buckets)):
+        if row[col]:
+            buckets[col].append(row)
+            return
+
+
 def hermite_rows(rows: Iterable[Vector], width: int, ring: RingDescriptor):
-    """Canonical row Hermite form; returns ``(rows, pivots)`` without zero rows."""
-    work = [tuple(r) for r in rows]
+    """Canonical row Hermite form; returns ``(rows, pivots)`` without zero rows.
+
+    Every row is filed once in the bucket of its leading column.  Column
+    ``col`` folds its bucket into one row with ``_row_combine``; each
+    second row that comes out is zero up to ``col`` and is filed again
+    from ``col + 1``, so no column rescans rows that are zero there.  The
+    folded row is normalized, and the nonzero entries above its pivot are
+    reduced modulo it.
+    """
+    buckets: List[List[Vector]] = [[] for _ in range(width)]
+    for r in rows:
+        _file_row(buckets, tuple(r), 0)
     fixed: List[Vector] = []
     pivots: List[int] = []
-    for col in range(width):
-        carrying = [r for r in work if not is_zero_element(r[col])]
+    for col, carrying in enumerate(buckets):
         if not carrying:
             continue
-        rest = [r for r in work if is_zero_element(r[col])]
         acc = carrying[0]
         for r in carrying[1:]:
             acc, r2 = _row_combine(acc, r, ring, col)
-            if any(not is_zero_element(x) for x in r2):
-                rest.append(r2)
+            _file_row(buckets, r2, col + 1)
+        carrying.clear()  # free the folded rows before the next column
         acc = _normalize_row(acc, col, ring)
         # Reduce the entries above this pivot into canonical range.
         for i, prev in enumerate(fixed):
-            q, r = _divmod_reduce(prev[col], acc[col], ring)
-            if not is_zero_element(q):
-                fixed[i] = tuple(x - q * y for x, y in zip(prev, acc))
+            if prev[col]:
+                q, _ = _divmod_reduce(prev[col], acc[col], ring)
+                if q:
+                    fixed[i] = _minus_multiple(prev, q, acc)
         fixed.append(acc)
         pivots.append(col)
-        work = rest
     return tuple(fixed), tuple(pivots)
 
 
@@ -281,34 +327,30 @@ def _kernel_basis(rows: Sequence[Vector], ncols: int, ring: RingDescriptor) -> L
 
     Column operations bring the matrix to echelon form while the same
     operations act on an identity block; the transform columns aligned
-    with zero columns span the kernel.
+    with zero columns span the kernel.  Each column is held as one tuple,
+    its entries in ``rows`` followed by its transform block, so one
+    ``_row_combine`` acts on both.
     """
+    nrows = len(rows)
     zero = ring.zero()
     one = ring.one()
-    a_cols = [[rows[i][j] for i in range(len(rows))] for j in range(ncols)]
-    u_cols = [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
+    cols = [
+        tuple(row[j] for row in rows) + tuple(one if i == j else zero for i in range(ncols))
+        for j in range(ncols)
+    ]
     free = list(range(ncols))
-    for r in range(len(rows)):
+    for r in range(nrows):
         pivot = None
         for j in list(free):
-            if is_zero_element(a_cols[j][r]):
+            if not cols[j][r]:
                 continue
             if pivot is None:
                 pivot = j
                 continue
-            a, b = a_cols[pivot][r], a_cols[j][r]
-            g, u, v = extended_gcd(a, b, ring)
-            ca = exact_divide(a, g, ring)
-            cb = exact_divide(b, g, ring)
-            new_ap = [u * x + v * y for x, y in zip(a_cols[pivot], a_cols[j])]
-            new_aj = [cb * x - ca * y for x, y in zip(a_cols[pivot], a_cols[j])]
-            new_up = [u * x + v * y for x, y in zip(u_cols[pivot], u_cols[j])]
-            new_uj = [cb * x - ca * y for x, y in zip(u_cols[pivot], u_cols[j])]
-            a_cols[pivot], a_cols[j] = new_ap, new_aj
-            u_cols[pivot], u_cols[j] = new_up, new_uj
+            cols[pivot], cols[j] = _row_combine(cols[pivot], cols[j], ring, r)
         if pivot is not None:
             free.remove(pivot)
-    return [tuple(u_cols[j]) for j in free]
+    return [cols[j][nrows:] for j in free]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +445,8 @@ def solve_direct(
     zero = ring.zero()
     global_col = {v: i for i, v in enumerate(order)}
     for comp in connected_components(g):
-        comp_order = [v for v in order if v in set(comp.vertices)]
+        members = set(comp.vertices)
+        comp_order = [v for v in order if v in members]
         for vec in _component_rows(comp, comp_order):
             row = [zero] * len(order)
             for v, x in zip(comp_order, vec):
@@ -462,10 +505,18 @@ def _step(
 ) -> Step:
     """Insert the edge ``a``-``b`` into the module ``rows`` on ``built``.
 
+    ``rows`` is in canonical Hermite form, and so is the step's matrix.
+
     An edge to a fresh vertex extends every generator by its value at the
     attachment vertex and adjoins the generator supported on the new vertex
-    alone; an edge between built vertices imposes one congruence on
-    coefficient vectors, solved as the kernel of a single row.
+    alone.  Only the new column needs reducing: the old columns are already
+    canonical and the adjoined row is zero on them, so each extended entry
+    is reduced modulo the normalized edge generator, the adjoined row's
+    pivot.  A zero label adjoins nothing and the column is a plain copy.
+
+    An edge between built vertices imposes one congruence on coefficient
+    vectors, solved as the kernel of a single row; the kernel's
+    combinations of ``rows`` are put in Hermite form.
     """
     work = work_ring(ring)
     zero = work.zero()
@@ -477,17 +528,22 @@ def _step(
         for vec in _kernel_basis([constraint], len(rows) + 1, work):
             combo = [zero] * len(built)
             for c, row in zip(vec[: len(rows)], rows):
-                combo = [acc + c * x for acc, x in zip(combo, row)]
+                if c:
+                    combo = [acc + c * x for acc, x in zip(combo, row)]
             combos.append(tuple(combo))
         matrix, _ = hermite_rows(combos, len(built), work)
         return EdgeEqualizer(a, b, label, built, matrix)
     if a in built or b in built:
         attach, new = (a, b) if a in built else (b, a)
         ia = built.index(attach)
-        extended = [row + (row[ia],) for row in rows]
-        extended.append(tuple([zero] * len(built) + [gen]))
         after = built + (new,)
-        matrix, _ = hermite_rows(extended, len(after), work)
+        if not gen:
+            matrix = tuple(row + (row[ia],) for row in rows)
+        else:
+            p = normalized_associate(gen, work)
+            matrix = tuple(
+                row + (_divmod_reduce(row[ia], p, work)[1],) for row in rows
+            ) + ((zero,) * len(built) + (p,),)
         return LeafPullback(new, attach, label, after, matrix)
     raise DisconnectedInput(f"edge {a!r}-{b!r} does not touch the component built so far")
 
@@ -545,7 +601,8 @@ def incremental_assembled(
     col = {v: i for i, v in enumerate(order)}
     zero = work_ring(g.ring).zero()
     for comp in connected_components(g):
-        comp_order = tuple(v for v in order if v in set(comp.vertices))
+        members = set(comp.vertices)
+        comp_order = tuple(v for v in order if v in members)
         comp_rows, trace = _grow(comp, None, comp_order)
         traces.append(trace)
         for row in comp_rows:

@@ -129,6 +129,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """False exactly for the zero polynomial, as for ``int`` and ``Fraction``."""
+        return bool(self.terms)
+
     @property
     def is_constant(self) -> bool:
         return not self.terms or sum(self.terms[0][0]) == 0
@@ -507,23 +511,28 @@ def gcd(a: RingElement, b: RingElement, ring: RingDescriptor) -> RingElement:
     return normalized_associate(a, ring)
 
 
+def _extended_gcd_int(a: int, b: int) -> Tuple[int, int, int]:
+    """``extended_gcd`` over ``Int`` for operands already known to be ints."""
+    old_r, r = a, b
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_u, u = u, old_u - q * u
+        old_v, v = v, old_v - q * v
+    if old_r < 0:
+        old_r, old_u, old_v = -old_r, -old_u, -old_v
+    return old_r, old_u, old_v
+
+
 def extended_gcd(a: RingElement, b: RingElement, ring: RingDescriptor):
     """``(g, u, v)`` with ``u*a + v*b = g`` and ``g`` normalized."""
     _require_euclidean(ring, "extended gcd")
     a = coerce(a, ring)
     b = coerce(b, ring)
     if ring.kind == INT:
-        old_r, r = a, b
-        old_u, u = 1, 0
-        old_v, v = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_u, u = u, old_u - q * u
-            old_v, v = v, old_v - q * v
-        if old_r < 0:
-            old_r, old_u, old_v = -old_r, -old_u, -old_v
-        return old_r, old_u, old_v
+        return _extended_gcd_int(a, b)
     one = Poly.const(ring.nvars, 1)
     zero = Poly.const(ring.nvars, 0)
     old_r, r = a, b

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsplines import (
@@ -39,8 +39,10 @@ from gsplines import (
     solve_direct,
     spline_set,
 )
+from gsplines.modules import _edge_generator, _step, hermite_rows, work_ring
 from gsplines.rings import factored_from_residue
 from conftest import QX, ZZ, int_graph, int_label
+from hermite_reference import reference_hermite_rows
 
 
 def spl(g, *values):
@@ -87,7 +89,8 @@ def test_solve_triangle_golden(triangle):
     m = solve_direct(triangle)
     assert m.rows == ((1, 1, 1), (0, 3, 28), (0, 0, 35))
     assert m.pivots == (0, 1, 2)
-    assert m.leading_entries == (("u", 1), ("v", 3), ("w", 35))
+    leading = tuple((m.vertex_order[p], row[p]) for row, p in zip(m.rows, m.pivots))
+    assert leading == (("u", 1), ("v", 3), ("w", 35))
     for s in m.basis:
         assert gkm_check(triangle, s)
 
@@ -673,3 +676,96 @@ def test_int_three_way_agreement_property(g):
 @given(connected_graphs(QX, qx_labels()))
 def test_qx_three_way_agreement_property(g):
     assert_three_way(g)
+
+
+# --- the Hermite core against the plain reference ------------------------------------
+
+INT_ENTRIES = (0, 0, 0, 1, -1, 2, -2, 3, -4, 6, 12, 35)
+QX_ENTRIES = ("0", "0", "1", "-2", "x", "x-1", "2*x+2", "-x^2+1", "x^2-1", "3*x^2-3*x")
+
+
+def ring_entries(ring):
+    if ring.kind == "Int":
+        return st.sampled_from(INT_ENTRIES)
+    return st.sampled_from(QX_ENTRIES).map(lambda t: parse_element(t, ring))
+
+
+@st.composite
+def hermite_inputs(draw, ring=None):
+    """``(ring, width, rows)`` over Int or Q[x]: random rows plus zero rows,
+    repeats, multiples and sums of earlier rows (rank-deficient input), and
+    sometimes a column cleared so that it carries no pivot."""
+    if ring is None:
+        ring = draw(st.sampled_from([ZZ, QX]))
+    entry = ring_entries(ring)
+    width = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.tuples(*[entry] * width), max_size=6))
+    zero = ring.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "multiple", "sum"]))
+        if kind == "zero" or not rows:
+            rows.append((zero,) * width)
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "multiple":
+            c = draw(entry)
+            rows.append(tuple(c * x for x in draw(st.sampled_from(rows))))
+        else:
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(tuple(x + y for x, y in zip(r1, r2)))
+    if width and draw(st.booleans()):
+        cleared = draw(st.integers(0, width - 1))
+        rows = [row[:cleared] + (zero,) + row[cleared + 1:] for row in rows]
+    return ring, width, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermite_inputs())
+# The first pivot entry divides the next (the one-subtraction step), the
+# next divides it, the two are associates, or neither divides the other.
+@example((ZZ, 3, [(2, 1, 0), (-6, 0, 5), (4, 3, 1)]))
+@example((ZZ, 2, [(-6, 1), (3, 2), (-3, 5)]))
+@example((ZZ, 3, [(4, 1, 1), (6, 1, 0), (0, -9, 12)]))
+@example((QX, 2, [(parse_element("2*x+2", QX), parse_element("1", QX)),
+                  (parse_element("x^2-1", QX), parse_element("x", QX))]))
+@example((QX, 2, [(parse_element("x", QX), parse_element("1", QX)),
+                  (parse_element("x-1", QX), parse_element("-2", QX))]))
+def test_hermite_rows_match_reference(case):
+    ring, width, rows = case
+    assert hermite_rows(rows, width, ring) == reference_hermite_rows(rows, width, ring)
+
+
+@st.composite
+def leaf_inputs(draw):
+    """A canonical module over Int, Q[x] or (lifted) Z/n, an attachment
+    vertex and a label: zero, or a product of factors, or for Z/n the ideal
+    of a residue, whose lifted generator is its edge modulus."""
+    kind = draw(st.sampled_from(["Int", "PolyQ", "ModInt"]))
+    if kind == "ModInt":
+        ring = RingDescriptor.residues(draw(st.sampled_from([6, 8, 12, 30])))
+        label = factored_from_residue(draw(st.sampled_from([0, 2, 3, 4, 6, 9, 10])), ring)
+    elif kind == "Int":
+        ring = ZZ
+        label = draw(int_labels())
+    else:
+        ring = QX
+        label = draw(qx_labels())
+    _, width, rows = draw(hermite_inputs(work_ring(ring)))
+    width += 1
+    rows = [row + (draw(ring_entries(work_ring(ring))),) for row in rows]
+    canonical, _ = hermite_rows(rows, width, work_ring(ring))
+    return ring, width, canonical, draw(st.integers(0, width - 1)), label
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf_inputs(), st.booleans())
+def test_leaf_step_is_hermite_of_extended_matrix(case, new_first):
+    ring, width, rows, ia, label = case
+    work = work_ring(ring)
+    built = tuple(f"v{i}" for i in range(width))
+    ends = ("new", built[ia]) if new_first else (built[ia], "new")
+    gen = _edge_generator(label, ring)
+    extended = [row + (row[ia],) for row in rows] + [(work.zero(),) * width + (gen,)]
+    expected, _ = hermite_rows(extended, width + 1, work)
+    step = _step(built, rows, *ends, label, ring)
+    assert step == LeafPullback("new", built[ia], label, built + ("new",), expected)
