@@ -45,7 +45,6 @@ from .modules import (
     Spline,
     SplineModule,
     bruteforce_values,
-    build_incremental,
     enumerate_bruteforce,
     flow_up_normalize,
     gkm_check,

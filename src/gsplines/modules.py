@@ -4,10 +4,10 @@ A spline assigns a ring element to every vertex so that across each edge
 the difference of endpoint values lies in the edge's ideal.  The module of
 all splines is computed three independent ways:
 
-* ``solve_direct`` turns the congruence system into an integer/polynomial
-  kernel problem and reduces it with Hermite-style column operations,
-* ``build_incremental`` grows the module edge by edge, extending by a new
-  leaf vertex or imposing one further congruence on coefficients,
+* ``solve_direct`` imposes every edge congruence of a component on its
+  coordinate vectors at once,
+* ``incremental_assembled`` grows each component's module edge by edge,
+  extending by a new leaf vertex or imposing one further congruence,
 * ``bruteforce_values`` lists every labeling over a residue ring
   (``enumerate_bruteforce`` as ``Spline``s).
 
@@ -30,6 +30,10 @@ Hermite core take whatever route costs least to reach it:
   row again only when a combination changed it,
 * ``_row_combine`` eliminates with one subtraction when one pivot entry
   divides the other, and uses the extended-gcd transform otherwise,
+* ``_impose`` cuts a module down by edge congruences with one
+  ``hermite_rows`` pass over the rows prefixed by their endpoint
+  differences; the direct solver and the incremental edge equalizer both
+  call it,
 * a leaf pullback in ``_step`` starts from a canonical basis, so only the
   new column needs reducing, modulo the normalized edge generator.
 """
@@ -248,8 +252,10 @@ def _row_combine(r1: Vector, r2: Vector, ring: RingDescriptor, col: int):
     the row with the dividing entry is kept and the other row loses a
     multiple of it, computed only where the kept row is nonzero.  ``r2``'s
     entry is tried as the divisor first, so for associate entries ``r2`` is
-    kept, as the extended-gcd transform keeps it; in the kernel solver that
-    choice spreads fewer nonzeros into the columns still to be reduced.
+    kept, as the extended-gcd transform keeps it.  In ``hermite_rows``
+    ``r1`` is the row folded so far and ``r2`` the next row of the bucket;
+    keeping ``r2`` there is measurably faster on the benchmark's integer
+    pools than keeping ``r1``.
     Otherwise it is the transform ``(u*r1 + v*r2, (b/g)*r1 - (a/g)*r2)``
     with ``u*a + v*b = g``.
     """
@@ -322,35 +328,33 @@ def hermite_rows(rows: Iterable[Vector], width: int, ring: RingDescriptor):
     return tuple(fixed), tuple(pivots)
 
 
-def _kernel_basis(rows: Sequence[Vector], ncols: int, ring: RingDescriptor) -> List[Vector]:
-    """Basis of the (free) solution module of ``rows * x = 0``.
+def _impose(
+    rows: Iterable[Vector],
+    width: int,
+    constraints: Sequence[Tuple[int, int, RingElement]],
+    ring: RingDescriptor,
+) -> Tuple[Vector, ...]:
+    """Canonical rows of ``{r in span(rows) : gen | r[a] - r[b]}`` over
+    every constraint ``(a, b, gen)``; a zero ``gen`` means ``r[a] = r[b]``.
 
-    Column operations bring the matrix to echelon form while the same
-    operations act on an identity block; the transform columns aligned
-    with zero columns span the kernel.  Each column is held as one tuple,
-    its entries in ``rows`` followed by its transform block, so one
-    ``_row_combine`` acts on both.
+    Each row is prefixed with one difference column per constraint, and
+    ``gen`` times that column's coordinate vector is adjoined for every
+    nonzero ``gen``.  A combination of these rows vanishes on the prefix
+    exactly when its tail meets every congruence, so after one
+    ``hermite_rows`` pass the rows whose pivot lies past the prefix span
+    the constrained module, and their tails are its canonical rows: the
+    kernel read off the Hermite form of ``[constraints | identity]``.
     """
-    nrows = len(rows)
+    k = len(constraints)
     zero = ring.zero()
-    one = ring.one()
-    cols = [
-        tuple(row[j] for row in rows) + tuple(one if i == j else zero for i in range(ncols))
-        for j in range(ncols)
+    full = [tuple(r[a] - r[b] for a, b, _ in constraints) + tuple(r) for r in rows]
+    full += [
+        (zero,) * i + (gen,) + (zero,) * (k - 1 - i + width)
+        for i, (_, _, gen) in enumerate(constraints)
+        if gen
     ]
-    free = list(range(ncols))
-    for r in range(nrows):
-        pivot = None
-        for j in list(free):
-            if not cols[j][r]:
-                continue
-            if pivot is None:
-                pivot = j
-                continue
-            cols[pivot], cols[j] = _row_combine(cols[pivot], cols[j], ring, r)
-        if pivot is not None:
-            free.remove(pivot)
-    return [cols[j][nrows:] for j in free]
+    hrows, pivots = hermite_rows(full, k + width, ring)
+    return tuple(row[k:] for row, p in zip(hrows, pivots) if p >= k)
 
 
 # ---------------------------------------------------------------------------
@@ -390,34 +394,18 @@ def _canonical(
 # direct solver
 
 
-def _component_rows(comp: EdgeLabeledGraph, order: Sequence[str]) -> List[Vector]:
-    """Generators of the spline module of one connected component.
-
-    The system couples a value per vertex with one slack per nonzero label:
-    for each edge, difference-of-endpoints equals label times slack.  The
-    spline module is the projection of that system's kernel onto the vertex
-    coordinates.
-    """
+def _component_rows(comp: EdgeLabeledGraph, order: Sequence[str]) -> Tuple[Vector, ...]:
+    """Canonical rows of one connected component's spline module: the
+    coordinate vectors of ``order`` with every edge imposed at once."""
     ring = work_ring(comp.ring)
     col_of = {v: i for i, v in enumerate(order)}
     nV = len(order)
-    slack = [e for e in comp.edges if not e.label.is_zero]
-    slack_col = {id(e): nV + i for i, e in enumerate(slack)}
-    ncols = nV + len(slack)
-    zero = ring.zero()
-    one = ring.one()
-    rows = []
-    for e in comp.edges:
-        row = [zero] * ncols
-        row[col_of[e.a]] = one
-        row[col_of[e.b]] = -one
-        if not e.label.is_zero:
-            row[slack_col[id(e)]] = -_edge_generator(e.label, comp.ring)
-        rows.append(tuple(row))
-    if not rows:
-        return [tuple(one if j == i else zero for j in range(nV)) for i in range(nV)]
-    kernel = _kernel_basis(rows, ncols, ring)
-    return [vec[:nV] for vec in kernel]
+    one, zero = ring.one(), ring.zero()
+    identity = [tuple(one if j == i else zero for j in range(nV)) for i in range(nV)]
+    constraints = [
+        (col_of[e.a], col_of[e.b], _edge_generator(e.label, comp.ring)) for e in comp.edges
+    ]
+    return _impose(identity, nV, constraints, ring)
 
 
 def _check_vertex_order(g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str]]):
@@ -434,9 +422,9 @@ def solve_direct(
 ) -> SplineModule:
     """Flow-up basis of the spline module, solved per connected component.
 
-    Each component's congruences are solved as a kernel over the work ring
-    (the integers with edge moduli for a residue ring); the assembled rows
-    leave through ``_canonical``.
+    Each component's congruences are imposed by ``_component_rows`` over
+    the work ring (the integers with edge moduli for a residue ring); the
+    assembled rows leave through ``_canonical``.
     """
     order = _check_vertex_order(g, vertex_order)
     ring = work_ring(g.ring)
@@ -514,24 +502,14 @@ def _step(
     is reduced modulo the normalized edge generator, the adjoined row's
     pivot.  A zero label adjoins nothing and the column is a plain copy.
 
-    An edge between built vertices imposes one congruence on coefficient
-    vectors, solved as the kernel of a single row; the kernel's
-    combinations of ``rows`` are put in Hermite form.
+    An edge between built vertices cuts ``rows`` down to the combinations
+    that meet its congruence: ``_impose`` with that one constraint.
     """
     work = work_ring(ring)
     zero = work.zero()
     gen = _edge_generator(label, ring)
     if a in built and b in built:
-        iu, iv = built.index(a), built.index(b)
-        constraint = tuple(row[iu] - row[iv] for row in rows) + (gen,)
-        combos = []
-        for vec in _kernel_basis([constraint], len(rows) + 1, work):
-            combo = [zero] * len(built)
-            for c, row in zip(vec[: len(rows)], rows):
-                if c:
-                    combo = [acc + c * x for acc, x in zip(combo, row)]
-            combos.append(tuple(combo))
-        matrix, _ = hermite_rows(combos, len(built), work)
+        matrix = _impose(rows, len(built), [(built.index(a), built.index(b), gen)], work)
         return EdgeEqualizer(a, b, label, built, matrix)
     if a in built or b in built:
         attach, new = (a, b) if a in built else (b, a)
@@ -573,7 +551,7 @@ def _grow(
     return out, LimitTrace(start, tuple(steps))
 
 
-def build_incremental(
+def _build_incremental(
     g: EdgeLabeledGraph,
     order: Optional[Sequence[Tuple[str, str]]] = None,
     vertex_order: Optional[Sequence[str]] = None,

@@ -1,9 +1,14 @@
-"""A reference row Hermite form: the plain algorithm ``hermite_rows`` must
-match entry for entry.
+"""Plain references the Hermite core must match entry for entry.
 
-Every column rescans every remaining row for a nonzero entry, and every pair
-of carrying rows is combined by the extended-gcd transform, with no
-shortcut for divisible entries.
+``reference_hermite_rows`` is the row Hermite form without shortcuts: every
+column rescans every remaining row for a nonzero entry, and every pair of
+carrying rows is combined by the extended-gcd transform, with no shortcut
+for divisible entries.
+
+``reference_impose`` is the module cut out by edge congruences, computed
+with a second elimination engine: column operations find the kernel of
+each congruence on the coefficient vectors (``reference_kernel_basis``),
+and the kernel's combinations of the rows are put in Hermite form.
 """
 
 from gsplines.rings import INT, exact_divide, extended_gcd, is_zero_element, poly_divmod, unit_part
@@ -55,3 +60,50 @@ def reference_hermite_rows(rows, width, ring):
         pivots.append(col)
         work = rest
     return tuple(fixed), tuple(pivots)
+
+
+def reference_kernel_basis(rows, ncols, ring):
+    """Basis of the (free) solution module of ``rows * x = 0``.
+
+    Column operations bring the matrix to echelon form while the same
+    operations act on an identity block; the transform columns aligned
+    with zero columns span the kernel.  Each column is held as one tuple,
+    its entries in ``rows`` followed by its transform block.
+    """
+    nrows = len(rows)
+    zero, one = ring.zero(), ring.one()
+    cols = [
+        tuple(row[j] for row in rows) + tuple(one if i == j else zero for i in range(ncols))
+        for j in range(ncols)
+    ]
+    free = list(range(ncols))
+    for r in range(nrows):
+        pivot = None
+        for j in list(free):
+            if is_zero_element(cols[j][r]):
+                continue
+            if pivot is None:
+                pivot = j
+                continue
+            cols[pivot], cols[j] = _combine(cols[pivot], cols[j], ring, r)
+        if pivot is not None:
+            free.remove(pivot)
+    return [cols[j][nrows:] for j in free]
+
+
+def reference_impose(rows, width, constraints, ring):
+    """Canonical rows of ``{r in span(rows) : gen | r[a] - r[b]}`` over
+    every ``(a, b, gen)``, one constraint at a time: the kernel of the one
+    row ``sum_i c_i*(rows[i][a] - rows[i][b]) + gen*s = 0`` gives the
+    coefficients ``c`` of the combinations that meet the congruence."""
+    rows, _ = reference_hermite_rows(rows, width, ring)
+    for a, b, gen in constraints:
+        constraint = tuple(r[a] - r[b] for r in rows) + (gen,)
+        combos = []
+        for vec in reference_kernel_basis([constraint], len(rows) + 1, ring):
+            combo = (ring.zero(),) * width
+            for c, row in zip(vec, rows):
+                combo = tuple(acc + c * x for acc, x in zip(combo, row))
+            combos.append(combo)
+        rows, _ = reference_hermite_rows(combos, width, ring)
+    return rows

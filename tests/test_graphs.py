@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from gsplines import (
     restrict,
     trivializes,
 )
+from gsplines.formats import dump_json, graph_from_json, graph_to_json, render_graph_text
 from gsplines.rings import canonical_key, normalized_associate
 from conftest import FACTOR_TEXTS, ZZ, factored_graphs, int_graph, int_label, parse_factor
 
@@ -85,6 +87,18 @@ def renormalized(g):
 @given(factored_graphs())
 def test_normalize_idempotent(g):
     assert renormalized(g) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_graphs(), st.integers(2, 30))
+def test_graph_json_round_trip(g, n):
+    """Writing a graph as JSON and reading it back gives the same graph;
+    integer graphs are also checked reduced modulo ``n``."""
+    graphs = [g, reduce_mod(g, n)] if g.ring == ZZ else [g]
+    for h in graphs:
+        back = graph_from_json(json.loads(dump_json(graph_to_json(h))))
+        assert back == h
+        assert render_graph_text(back) == render_graph_text(h)
 
 
 def test_normalize_unknown_vertex():

@@ -24,7 +24,6 @@ from gsplines import (
     TooLarge,
     UnsupportedRing,
     bruteforce_values,
-    build_incremental,
     connected_components,
     enumerate_bruteforce,
     flow_up_normalize,
@@ -39,10 +38,17 @@ from gsplines import (
     solve_direct,
     spline_set,
 )
-from gsplines.modules import _edge_generator, _step, hermite_rows, work_ring
+from gsplines.modules import (
+    _build_incremental,
+    _edge_generator,
+    _impose,
+    _step,
+    hermite_rows,
+    work_ring,
+)
 from gsplines.rings import factored_from_residue
 from conftest import QX, ZZ, int_graph, int_label
-from hermite_reference import reference_hermite_rows
+from hermite_reference import reference_hermite_rows, reference_impose
 
 
 def spl(g, *values):
@@ -149,19 +155,19 @@ def test_vertex_order_override(triangle):
         assert gkm_check(triangle, s)
 
 
-# --- build_incremental ----------------------------------------------------------
+# --- _build_incremental --------------------------------------------------------
 
 
 def test_incremental_path():
     g = int_graph(["u", "v", "w"], [("u", "v", 3), ("v", "w", 5)])
-    m, trace = build_incremental(g)
+    m, trace = _build_incremental(g)
     assert m.rows == ((1, 1, 1), (0, 3, 3), (0, 0, 5))
     assert [type(s).__name__ for s in trace.steps] == ["LeafPullback", "LeafPullback"]
     assert brute_set(reduce_mod(g, 15)) == spline_set(solve_direct(reduce_mod(g, 15)))
 
 
 def test_incremental_triangle_matches_direct(triangle):
-    m, trace = build_incremental(triangle)
+    m, trace = _build_incremental(triangle)
     assert m.rows == solve_direct(triangle).rows
     assert [type(s).__name__ for s in trace.steps] == [
         "LeafPullback",
@@ -178,13 +184,13 @@ def test_incremental_triangle_matches_direct(triangle):
 
 def test_incremental_single_edge_trace():
     g = int_graph(["u", "v"], [("u", "v", 3)])
-    m, trace = build_incremental(g)
+    m, trace = _build_incremental(g)
     assert m.rows == ((1, 1), (0, 3))
     assert len(trace.steps) == 1 and isinstance(trace.steps[0], LeafPullback)
 
 
 def test_incremental_trace_replays(triangle):
-    m, trace = build_incremental(triangle)
+    m, trace = _build_incremental(triangle)
     final = replay_trace(triangle, trace)
     assert final == m.rows
 
@@ -192,12 +198,12 @@ def test_incremental_trace_replays(triangle):
 def test_incremental_order_independent(triangle):
     rng = random.Random(17)
     pairs = [(e.a, e.b) for e in triangle.edges]
-    base = build_incremental(triangle)[0].rows
+    base = _build_incremental(triangle)[0].rows
     seen_valid = 0
     for _ in range(12):
         order = rng.sample(pairs, len(pairs))
         try:
-            m, _ = build_incremental(triangle, order)
+            m, _ = _build_incremental(triangle, order)
         except DisconnectedInput:
             continue  # order did not grow a connected patch
         seen_valid += 1
@@ -215,12 +221,12 @@ def test_incremental_order_independent_random_graphs():
             a, b = rng.sample(vs, 2)
             edges.append((a, b, rng.choice([2, 3, 5])))
         g = int_graph(vs, edges)
-        base = build_incremental(g)[0].rows
+        base = _build_incremental(g)[0].rows
         pairs = [(e.a, e.b) for e in g.edges]
         for _ in range(6):
             order = rng.sample(pairs, len(pairs))
             try:
-                m, _ = build_incremental(g, order)
+                m, _ = _build_incremental(g, order)
             except DisconnectedInput:
                 continue
             assert m.rows == base
@@ -232,13 +238,13 @@ def test_incremental_rejects_detached_order():
         [("a", "b", 3), ("b", "c", 5), ("c", "d", 7)],
     )
     with pytest.raises(DisconnectedInput):
-        build_incremental(g, [("a", "b"), ("c", "d"), ("b", "c")])
+        _build_incremental(g, [("a", "b"), ("c", "d"), ("b", "c")])
 
 
 def test_incremental_disconnected_input():
     g = int_graph(["a", "b", "c", "d"], [("a", "b", 3), ("c", "d", 5)])
     with pytest.raises(DisconnectedInput):
-        build_incremental(g)
+        _build_incremental(g)
     m, traces = incremental_assembled(g)
     assert m.rows == solve_direct(g).rows
     assert len(traces) == 2
@@ -443,7 +449,7 @@ def test_residue_membership_coefficients_recombine():
 
 def test_residue_replay_returns_recorded_matrix():
     g = z12_triangle()
-    m, trace = build_incremental(g)
+    m, trace = _build_incremental(g)
     assert [type(s) for s in trace.steps] == [LeafPullback, LeafPullback, EdgeEqualizer]
     assert replay_trace(g, trace) == trace.steps[-1].matrix_after
     assert [x.value for x in m.rows[1]] == [0, 6, 6]
@@ -459,7 +465,7 @@ def test_residue_flow_up_reduces_modulo_n():
 
 
 def test_replay_rejects_a_tampered_matrix(triangle):
-    _, trace = build_incremental(triangle)
+    _, trace = _build_incremental(triangle)
     last = trace.steps[-1]
     bad_row = (last.matrix_after[-1][0] + 1,) + last.matrix_after[-1][1:]
     tampered = dataclasses.replace(last, matrix_after=last.matrix_after[:-1] + (bad_row,))
@@ -736,25 +742,32 @@ def test_hermite_rows_match_reference(case):
 
 
 @st.composite
-def leaf_inputs(draw):
-    """A canonical module over Int, Q[x] or (lifted) Z/n, an attachment
-    vertex and a label: zero, or a product of factors, or for Z/n the ideal
-    of a residue, whose lifted generator is its edge modulus."""
+def canonical_modules(draw):
+    """A canonical module over Int, Q[x] or (lifted) Z/n, and a strategy
+    for its labels: zero, or a product of factors, or for Z/n the ideal of
+    a residue, whose lifted generator is its edge modulus."""
     kind = draw(st.sampled_from(["Int", "PolyQ", "ModInt"]))
     if kind == "ModInt":
         ring = RingDescriptor.residues(draw(st.sampled_from([6, 8, 12, 30])))
-        label = factored_from_residue(draw(st.sampled_from([0, 2, 3, 4, 6, 9, 10])), ring)
+        labels = st.sampled_from([0, 2, 3, 4, 6, 9, 10]).map(
+            lambda r: factored_from_residue(r, ring)
+        )
     elif kind == "Int":
-        ring = ZZ
-        label = draw(int_labels())
+        ring, labels = ZZ, int_labels()
     else:
-        ring = QX
-        label = draw(qx_labels())
+        ring, labels = QX, qx_labels()
     _, width, rows = draw(hermite_inputs(work_ring(ring)))
     width += 1
     rows = [row + (draw(ring_entries(work_ring(ring))),) for row in rows]
     canonical, _ = hermite_rows(rows, width, work_ring(ring))
-    return ring, width, canonical, draw(st.integers(0, width - 1)), label
+    return ring, width, canonical, labels
+
+
+@st.composite
+def leaf_inputs(draw):
+    """A canonical module, an attachment vertex and a label."""
+    ring, width, rows, labels = draw(canonical_modules())
+    return ring, width, rows, draw(st.integers(0, width - 1)), draw(labels)
 
 
 @settings(max_examples=300, deadline=None)
@@ -769,3 +782,27 @@ def test_leaf_step_is_hermite_of_extended_matrix(case, new_first):
     expected, _ = hermite_rows(extended, width + 1, work)
     step = _step(built, rows, *ends, label, ring)
     assert step == LeafPullback("new", built[ia], label, built + ("new",), expected)
+
+
+@st.composite
+def impose_inputs(draw):
+    """A canonical module over the work ring and 1-3 constraints
+    ``(a, b, gen)`` with lifted edge generators, zero among them; the two
+    ends of a constraint may coincide, and constraints may repeat ends."""
+    ring, width, rows, labels = draw(canonical_modules())
+    end = st.integers(0, width - 1)
+    gens = labels.map(lambda label: _edge_generator(label, ring))
+    constraints = draw(st.lists(st.tuples(end, end, gens), min_size=1, max_size=3))
+    return work_ring(ring), width, rows, constraints
+
+
+@settings(max_examples=300, deadline=None)
+@given(impose_inputs())
+# Equality (zero generator) with a constraint whose ends coincide; the same
+# ends twice with different moduli.
+@example((ZZ, 2, ((1, 1), (0, 6)), [(0, 1, 0), (1, 1, 4)]))
+@example((ZZ, 3, ((1, 1, 1), (0, 2, 0), (0, 0, 3)), [(0, 1, 4), (1, 0, 6)]))
+def test_impose_matches_kernel_reference(case):
+    ring, width, rows, constraints = case
+    expected = reference_impose(rows, width, constraints, ring)
+    assert _impose(rows, width, constraints, ring) == expected
