@@ -7,18 +7,17 @@ by a cycle and the opens cover the base spectrum, the spline module is
 certified FREE.  Failure of any part never claims non-freeness: the verdict
 falls back to UNKNOWN.
 
-Covering is decided exactly over the integers and over one-variable
-polynomial rings (gcd of the products is a unit).  Over several variables
-the test is partial: a shared non-unit factor refutes covering, and a unit
-gcd among the single-variable subproducts of the opens is accepted as a
-covering witness; everything else is reported Inconclusive rather than
-guessed.
+The opens cover exactly when their defining products generate the unit
+ideal.  One rule decides this or says it cannot: a factor inverted by every
+open refutes covering; otherwise, when the factors use at most one
+variable, the gcd of the products decides; otherwise the answer is
+Inconclusive rather than a guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import UnsupportedRing
 from .graphs import EdgeLabeledGraph, RestrictionOutcome, restrict
@@ -27,7 +26,6 @@ from .rings import (
     MODINT,
     POLYQ,
     Factor,
-    Poly,
     RingDescriptor,
     RingElement,
     canonical_key,
@@ -65,11 +63,6 @@ class CoverStatus:
     common_factor: Optional[RingElement] = None
     detail: str = ""
 
-    def __str__(self) -> str:
-        if self.status == FAILS_TO_COVER and self.common_factor is not None:
-            return f"{FAILS_TO_COVER}({self.detail})"
-        return self.status
-
 
 @dataclass(frozen=True)
 class CertificateReport:
@@ -97,80 +90,41 @@ def _common_factor(opens: Sequence[BasicOpen]) -> Optional[RingElement]:
     return min(common, key=canonical_key) if common else None
 
 
-def _single_variable_subproducts(
-    opens: Sequence[BasicOpen], ring: RingDescriptor, var_index: int
-) -> Optional[List[RingElement]]:
-    """Per open, the product of its factors involving only one variable.
-
-    Returns None when some open has no factor in that variable's subring.
-    """
-    out = []
-    for o in opens:
-        parts = []
-        for f in o.invert:
-            if f.element.used_variables() == (var_index,):
-                terms = {(e[var_index],): c for e, c in f.element.terms}
-                parts.append((terms, f.multiplicity))
-        if not parts:
-            return None
-        prod = Poly.const(1, 1)
-        for terms, mult in parts:
-            prod = prod * Poly(1, terms) ** mult
-        out.append(prod)
-    return out
-
-
 def check_cover(ring: RingDescriptor, opens: Sequence[BasicOpen]) -> CoverStatus:
     """Decide whether the opens cover the base spectrum.
 
     The opens cover exactly when their defining products generate the unit
-    ideal; over a principal ideal domain this is a gcd computation.  The
-    check is permutation-invariant, idempotent under duplicated opens, and
-    adding an open never turns Covers into FailsToCover.
+    ideal.  In order: a factor inverted by every open fails to cover; over
+    polynomials whose factors together use two or more variables the answer
+    is Inconclusive; otherwise the products lie in ``Z`` or in one-variable
+    ``Q[t]``, and their gcd decides (a unit covers, anything else is the
+    common factor).  The gcd, not the declared factorizations, decides, so
+    a declared irreducible that factors is still caught.  The check is
+    permutation-invariant, idempotent under duplicated opens, and adding an
+    open never turns Covers into FailsToCover.
     """
     if not opens:
         raise ValueError("at least one open is required")
     if ring.kind == MODINT:
         raise UnsupportedRing("covers are checked over integer or polynomial rings")
     common = _common_factor(opens)
-    if ring.kind == INT or (ring.kind == POLYQ and ring.nvars == 1):
-        products = [
-            _product((f.element ** f.multiplicity for f in o.invert), ring)
-            for o in opens
-        ]
-        g = products[0]
-        for p in products[1:]:
-            g = gcd(g, p, ring)
-        if is_unit(g, ring):
-            return CoverStatus(COVERS, detail="unit gcd of the defining products")
-        witness = common if common is not None else g
-        return CoverStatus(
-            FAILS_TO_COVER, witness, detail=format_element(witness, ring)
-        )
     if common is not None:
         return CoverStatus(
             FAILS_TO_COVER, common, detail=format_element(common, ring)
         )
-    one_var = RingDescriptor.rational_polynomials("t")
-    for var_index, name in enumerate(ring.variables):
-        subproducts = _single_variable_subproducts(opens, ring, var_index)
-        if subproducts is None:
-            continue
-        g = subproducts[0]
-        for p in subproducts[1:]:
-            g = gcd(g, p, one_var)
-        if is_unit(g, one_var):
+    if ring.kind == POLYQ:
+        used = {v for o in opens for f in o.invert for v in f.element.used_variables()}
+        if len(used) > 1:
             return CoverStatus(
-                COVERS,
-                detail=(
-                    f"single-variable witness in {name}: the {name}-only "
-                    "subproducts have unit gcd"
-                ),
+                INCONCLUSIVE,
+                detail="the defining products use more than one variable",
             )
-    return CoverStatus(
-        INCONCLUSIVE,
-        detail="multivariate cover undecided without Groebner bases",
-    )
+    g = ring.zero()
+    for o in opens:
+        g = gcd(g, _product((f.element ** f.multiplicity for f in o.invert), ring), ring)
+        if is_unit(g, ring):
+            return CoverStatus(COVERS, detail="unit gcd of the defining products")
+    return CoverStatus(FAILS_TO_COVER, g, detail=format_element(g, ring))
 
 
 def classify_restrictions(

@@ -140,6 +140,7 @@ def _label_from_json(obj: dict, ring: RingDescriptor, where: str) -> FactoredEle
     factors = obj.get("factors")
     _expect(isinstance(factors, list), f"{where}: 'label.factors' must be a list")
     merged: Dict[RingElement, Factor] = {}
+    value = 1
     for item in factors:
         _expect(
             isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
@@ -148,25 +149,14 @@ def _label_from_json(obj: dict, ring: RingDescriptor, where: str) -> FactoredEle
         )
         text, mult = item
         if ring.kind == MODINT:
-            value = parse_element(text, ring)
-            partial = factored_from_residue(value.value ** mult % ring.modulus, ring)
-            parts = partial.factors
-            if partial.is_zero:
-                return FactoredElement.zero()
-        else:
-            parts = tuple(
-                Factor(f.element, f.multiplicity * mult, f.irreducibility)
-                for f in parse_factor_text(text, ring)
-            )
-        for f in parts:
+            n = ring.modulus
+            value = value * pow(parse_element(text, ring).value, mult, n) % n
+            continue
+        for f in parse_factor_text(text, ring):
             old = merged.get(f.element)
-            merged[f.element] = (
-                f if old is None else Factor(f.element, old.multiplicity + f.multiplicity, f.irreducibility)
-            )
-    if ring.kind == MODINT and merged:
-        value = 1
-        for f in merged.values():
-            value = value * f.element.value ** f.multiplicity % ring.modulus
+            m = f.multiplicity * mult + (0 if old is None else old.multiplicity)
+            merged[f.element] = Factor(f.element, m, f.irreducibility)
+    if ring.kind == MODINT:
         return factored_from_residue(value, ring)
     return FactoredElement(tuple(merged.values()))
 

@@ -494,12 +494,14 @@ def canonical_key(x: RingElement):
 def _require_euclidean(ring: RingDescriptor, op: str) -> None:
     if ring.kind == MODINT:
         raise UnsupportedRing(f"{op} is not defined over residue rings")
-    if ring.kind == POLYQ and ring.nvars > 1:
-        raise UnsupportedRing(f"{op} is not defined over multivariate polynomial rings")
 
 
 def gcd(a: RingElement, b: RingElement, ring: RingDescriptor) -> RingElement:
-    """Normalized greatest common divisor; ``gcd(0, 0) = 0``."""
+    """Normalized greatest common divisor; ``gcd(0, 0) = 0``.
+
+    Polynomial operands must use one variable between them, though the ring
+    may have more; ``poly_divmod`` raises ``UnsupportedRing`` otherwise.
+    """
     _require_euclidean(ring, "gcd")
     a = coerce(a, ring)
     b = coerce(b, ring)
@@ -527,7 +529,8 @@ def _extended_gcd_int(a: int, b: int) -> Tuple[int, int, int]:
 
 
 def extended_gcd(a: RingElement, b: RingElement, ring: RingDescriptor):
-    """``(g, u, v)`` with ``u*a + v*b = g`` and ``g`` normalized."""
+    """``(g, u, v)`` with ``u*a + v*b = g`` and ``g`` normalized; operands
+    as for ``gcd``."""
     _require_euclidean(ring, "extended gcd")
     a = coerce(a, ring)
     b = coerce(b, ring)

@@ -141,18 +141,22 @@ def test_criterion_3_hexchain_restriction():
 
 def test_criterion_4_certificate_golden():
     """The 18-vertex two-variable fixture with its three opens: every
-    restriction determined by a cycle, cover certified, verdict FREE;
-    exact report match against the golden file."""
+    restriction determined by a cycle, but the cover undecided, so the
+    verdict is UNKNOWN; exact report match against the golden file.
+
+    The opens do not cover: all three products vanish at x = 505,
+    y^2 = 1 - 495^2, where U1 and U2 invert (x-10)^2+y^2-1 and U2 and U3
+    invert (x-1000)^2+y^2-1."""
     g = hexpoly_graph()
     report = verify_certificate(g, hexpoly_opens())
-    assert report.verdict == "FREE"
-    assert report.cover.status == "Covers"
+    assert report.verdict == "UNKNOWN"
+    assert report.cover.status == "Inconclusive"
     kinds = [o.classification.kind for _, o in report.per_open]
     assert kinds == ["DeterminedByCycle"] * 3
     with open(fixture_path("certificate_hexpoly_golden.json"), "r") as fh:
         golden = json.load(fh)
     assert certificate_to_json(report, g.ring) == golden
-    print("PASS criterion 4: certificate fixture verdict FREE, golden match")
+    print("PASS criterion 4: certificate fixture verdict UNKNOWN, golden match")
 
 
 def test_criterion_5_base_change_commutation():

@@ -1,7 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gsplines import (
     BasicOpen,
@@ -10,6 +14,7 @@ from gsplines import (
     check_cover,
     classify_restrictions,
     exact_divide,
+    format_element,
     gkm_check,
     make_factor,
     membership,
@@ -26,6 +31,10 @@ def int_open(name, *primes):
 
 def qx_open(name, *texts):
     return BasicOpen(name, tuple(make_factor(parse_element(t, QX), QX) for t in texts))
+
+
+def xy_open(name, *texts):
+    return BasicOpen(name, tuple(make_factor(parse_element(t, QXY), QXY) for t in texts))
 
 
 # --- check_cover -----------------------------------------------------------------
@@ -54,11 +63,6 @@ def test_cover_univariate_witness():
 
 
 def test_cover_multivariate_witness_and_failure():
-    def xy_open(name, *texts):
-        return BasicOpen(
-            name, tuple(make_factor(parse_element(t, QXY), QXY) for t in texts)
-        )
-
     opens = [
         xy_open("U1", "x-3", "x-5"),
         xy_open("U2", "x-3", "x-7"),
@@ -71,6 +75,72 @@ def test_cover_multivariate_witness_and_failure():
     assert status.common_factor == parse_element("y", QXY)
     lonely = [xy_open("U1", "(x-10)^2+y^2-1"), xy_open("U2", "(x-20)^2+y^2-1")]
     assert check_cover(QXY, lonely).status == "Inconclusive"
+
+
+# (0, 1) lies in neither open, so the opens do not cover, although their
+# x-only factors x and x-1 are coprime
+POINT_OUTSIDE = (QXY, [xy_open("U1", "x", "y"), xy_open("U2", "x-1", "y-1")])
+
+
+def test_cover_misses_a_point_outside_every_open():
+    assert check_cover(*POINT_OUTSIDE).status == "Inconclusive"
+
+
+def test_cover_gcd_catches_a_declared_irreducible_that_factors():
+    status = check_cover(QXY, [xy_open("U1", "x^4-1"), xy_open("U2", "x-1")])
+    assert status.status == "FailsToCover"
+    assert status.common_factor == parse_element("x-1", QXY)
+
+
+# Factor texts the cover property draws from; x^4-1 is declared irreducible
+# but factors, so only a gcd or a Groebner basis sees through it.
+COVER_TEXTS = {
+    ZZ: ("2", "3", "5", "7"),
+    QX: ("x", "x-1", "x+1", "x^2+1", "x^4-1"),
+    QXY: ("x", "y", "x-1", "y-1", "x-y", "x^2+y^2-1", "x*y-1", "x^4-1"),
+}
+
+
+@st.composite
+def cover_families(draw):
+    """A ring and 2-3 opens of 1-2 distinct factors each, multiplicity 1-2."""
+    ring = draw(st.sampled_from(list(COVER_TEXTS)))
+    opens = []
+    for i in range(draw(st.integers(2, 3))):
+        texts = draw(st.sets(st.sampled_from(COVER_TEXTS[ring]), min_size=1, max_size=2))
+        opens.append(BasicOpen(f"U{i}", tuple(
+            make_factor(parse_element(t, ring), ring, draw(st.integers(1, 2)))
+            for t in sorted(texts)
+        )))
+    return ring, opens
+
+
+def generates_unit_ideal(ring, opens):
+    """The truth the cover check must respect: over Int the gcd of the
+    products, over polynomials sympy's reduced Groebner basis."""
+    products = []
+    for o in opens:
+        product = 1
+        for f in o.invert:
+            product = product * f.element**f.multiplicity
+        products.append(product)
+    if ring == ZZ:
+        return math.gcd(*products) == 1
+    gens = sympy.symbols(ring.variables)
+    exprs = [sympy.sympify(format_element(p, ring).replace("^", "**")) for p in products]
+    return list(sympy.groebner(exprs, *gens, order="grevlex", domain="QQ").exprs) == [1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_families())
+@example(POINT_OUTSIDE)
+def test_cover_is_sound(family):
+    ring, opens = family
+    status = check_cover(ring, opens).status
+    if status == "Covers":
+        assert generates_unit_ideal(ring, opens)
+    elif status == "FailsToCover":
+        assert not generates_unit_ideal(ring, opens)
 
 
 def test_cover_permutation_and_duplication_invariance():
@@ -139,10 +209,13 @@ def test_classify_single_edge_is_other(triangle):
 # --- verify_certificate ----------------------------------------------------------------
 
 
-def test_certificate_hexpoly_free(hexpoly):
+def test_certificate_hexpoly_unknown(hexpoly):
+    # All three products vanish at x = 505, y^2 = 1 - 495^2: U1 and U2 invert
+    # (x-10)^2+y^2-1, U2 and U3 invert (x-1000)^2+y^2-1.  Two variables leave
+    # the cover undecided, so the verdict cannot be FREE.
     report = verify_certificate(hexpoly, hexpoly_opens())
-    assert report.verdict == "FREE"
-    assert report.cover.status == "Covers"
+    assert report.verdict == "UNKNOWN"
+    assert report.cover.status == "Inconclusive"
     assert all(
         outcome.classification.kind == "DeterminedByCycle"
         for _, outcome in report.per_open

@@ -210,14 +210,15 @@ def test_cover_command(capsys, tmp_path):
 
 
 def test_certify_hexpoly(capsys):
+    # the opens miss x = 505, y^2 = 1 - 495^2, so the verdict cannot be FREE
     code, out, _ = run(capsys, "certify", HEXPOLY, "--opens", HEXPOLY_OPENS)
     assert code == 0
     assert out == (
         "open U1: DeterminedByCycle(A3, B3, C3, D3, E3, F3); trivialized 12 edge(s), 6 left\n"
         "open U2: DeterminedByCycle(A2, B2, C2, D2, E2, F2); trivialized 12 edge(s), 6 left\n"
         "open U3: DeterminedByCycle(A1, B1, C1, D1, E1, F1); trivialized 12 edge(s), 6 left\n"
-        "cover status: Covers (single-variable witness in x: the x-only subproducts have unit gcd)\n"
-        "verdict: FREE\n"
+        "cover status: Inconclusive (the defining products use more than one variable)\n"
+        "verdict: UNKNOWN\n"
     )
 
 

@@ -101,6 +101,17 @@ def test_graph_json_round_trip(g, n):
         assert render_graph_text(back) == render_graph_text(h)
 
 
+def test_residue_label_power_is_reduced_as_it_is_read():
+    def z12(factors):
+        return graph_from_json({
+            "ring": {"kind": "ModInt", "modulus": 12},
+            "vertices": ["u", "v"],
+            "edges": [{"ends": ["u", "v"], "label": {"factors": factors}}],
+        })
+
+    assert z12([["2", 10**18]]) == z12([["4", 1]])
+
+
 def test_normalize_unknown_vertex():
     with pytest.raises(UnknownVertex):
         int_graph(["u"], [("u", "zz", 3)])
