@@ -20,7 +20,7 @@ All emitted text is UTF-8 with LF line endings and byte-stable across runs.
 from __future__ import annotations
 
 import json
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .certificates import BasicOpen, CertificateReport, CoverStatus
 from .errors import SchemaError
@@ -72,11 +72,31 @@ def parse_factor_text(text: str, ring: RingDescriptor) -> Tuple[Factor, ...]:
     return (make_factor(element, ring),)
 
 
+_Parse = Callable[[str], Tuple[Factor, ...]]
+
+
+def _parse_once(ring: RingDescriptor) -> _Parse:
+    """``parse_factor_text`` over ``ring`` that parses each distinct text
+    once.  The memo lives as long as the returned function: one document."""
+    memo: Dict[str, Tuple[Factor, ...]] = {}
+
+    def parse(text: str) -> Tuple[Factor, ...]:
+        if text not in memo:
+            memo[text] = parse_factor_text(text, ring)
+        return memo[text]
+
+    return parse
+
+
 def factor_list(texts: Sequence[str], ring: RingDescriptor, where: str) -> Tuple[Factor, ...]:
+    return _factor_list(texts, _parse_once(ring), where)
+
+
+def _factor_list(texts: Sequence[str], parse: _Parse, where: str) -> Tuple[Factor, ...]:
     out: Dict[RingElement, Factor] = {}
     for text in texts:
         _expect(isinstance(text, str), f"{where} entries must be strings")
-        for f in parse_factor_text(text, ring):
+        for f in parse(text):
             old = out.get(f.element)
             if old is None or f.multiplicity > old.multiplicity:
                 out[f.element] = f
@@ -131,7 +151,7 @@ def ring_to_json(ring: RingDescriptor) -> dict:
 # graphs
 
 
-def _label_from_json(obj: dict, ring: RingDescriptor, where: str) -> FactoredElement:
+def _label_from_json(obj: dict, ring: RingDescriptor, where: str, parse: _Parse) -> FactoredElement:
     _expect(isinstance(obj, dict), f"{where}: 'label' must be an object")
     _only_keys(obj, ("factors", "zero"), where)
     if obj.get("zero"):
@@ -152,7 +172,7 @@ def _label_from_json(obj: dict, ring: RingDescriptor, where: str) -> FactoredEle
             n = ring.modulus
             value = value * pow(parse_element(text, ring).value, mult, n) % n
             continue
-        for f in parse_factor_text(text, ring):
+        for f in parse(text):
             old = merged.get(f.element)
             m = f.multiplicity * mult + (0 if old is None else old.multiplicity)
             merged[f.element] = Factor(f.element, m, f.irreducibility)
@@ -175,6 +195,7 @@ def graph_from_json(obj: dict) -> EdgeLabeledGraph:
     raw_edges = obj.get("edges", [])
     _expect(isinstance(raw_edges, list), "'edges' must be a list")
     edges = []
+    parse = _parse_once(ring)
     for i, e in enumerate(raw_edges):
         where = f"edges[{i}]"
         _expect(isinstance(e, dict), f"{where} must be an object")
@@ -185,7 +206,7 @@ def graph_from_json(obj: dict) -> EdgeLabeledGraph:
             f"{where}: 'ends' must be a pair of vertex names",
         )
         _expect("label" in e, f"{where}: missing 'label'")
-        label = _label_from_json(e["label"], ring, where)
+        label = _label_from_json(e["label"], ring, where, parse)
         edges.append((ends[0], ends[1], label))
     return normalize(ring, vertices, edges)
 
@@ -371,6 +392,7 @@ def opens_from_json(obj: dict, ring: RingDescriptor) -> Tuple[BasicOpen, ...]:
     raw = obj.get("opens")
     _expect(isinstance(raw, list) and raw, "'opens' must be a nonempty list")
     out = []
+    parse = _parse_once(ring)
     for i, o in enumerate(raw):
         where = f"opens[{i}]"
         _expect(isinstance(o, dict), f"{where} must be an object")
@@ -382,7 +404,7 @@ def opens_from_json(obj: dict, ring: RingDescriptor) -> Tuple[BasicOpen, ...]:
             isinstance(invert, list) and invert,
             f"{where}: 'invert' must be a nonempty list of factor strings",
         )
-        out.append(BasicOpen(name, factor_list(invert, ring, f"{where}.invert")))
+        out.append(BasicOpen(name, _factor_list(invert, parse, f"{where}.invert")))
     return tuple(out)
 
 

@@ -86,10 +86,11 @@ class Poly:
     validates and canonicalizes arbitrary input.  Arithmetic results are
     canonical by construction and go through ``Poly._of``, which stores a term
     tuple as given.  Canonical terms make ``==`` and ``hash`` decide equality
-    of polynomials; the hash is computed on first use and kept in ``_hash``.
+    of polynomials; the hash is computed on first use and kept in ``_hash``,
+    and the sort key of ``canonical_key`` likewise in ``_key``.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_hash", "_key")
 
     def __init__(self, nvars: int, terms: Union[Mapping, Iterable] = ()):
         acc: dict = {}
@@ -119,11 +120,6 @@ class Poly:
     def const(cls, nvars: int, c) -> "Poly":
         c = Fraction(c)
         return cls._of(nvars, (((0,) * nvars, c),) if c else ())
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "Poly":
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._of(nvars, ((exps, Fraction(1)),))
 
     @property
     def is_zero(self) -> bool:
@@ -479,12 +475,18 @@ def canonical_key(x: RingElement):
     It is a sort key only.  Normalized factors are canonical ``Poly``s,
     positive ints or residues, so the element's own ``==`` and ``hash``
     decide "same factor"; sets and dicts of factors hold the elements.
+    A ``Poly``'s key is computed once and kept in its ``_key`` slot.
     """
     if isinstance(x, int):
         return (0, x, "")
     if isinstance(x, Residue):
         return (0, x.value, "")
-    return (x.degree, 0, repr(x.terms))
+    try:
+        return x._key
+    except AttributeError:
+        key = (x.degree, 0, repr(x.terms))
+        object.__setattr__(x, "_key", key)
+        return key
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +897,8 @@ def format_poly(p: Poly, variables: Sequence[str]) -> str:
         return "0"
     chunks = []
     for i, (exps, coeff) in enumerate(p.terms):
-        mag = str(abs(coeff))
+        num, den = coeff.numerator, coeff.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         vars_part = "*".join(
             f"{v}^{e}" if e > 1 else v for v, e in zip(variables, exps) if e > 0
         )
@@ -906,7 +909,7 @@ def format_poly(p: Poly, variables: Sequence[str]) -> str:
         else:
             body = f"{mag}*{vars_part}"
         if i == 0:
-            if coeff < 0:
+            if num < 0:
                 # An explicit coefficient keeps the leading sign outside any
                 # exponent: the grammar binds '-' tighter than '^'.
                 if vars_part:
@@ -916,7 +919,7 @@ def format_poly(p: Poly, variables: Sequence[str]) -> str:
             else:
                 chunks.append(body)
         else:
-            chunks.append(("- " if coeff < 0 else "+ ") + body)
+            chunks.append(("- " if num < 0 else "+ ") + body)
     return " ".join(chunks)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -22,7 +23,9 @@ from gsplines import (
     solve_direct,
     verify_certificate,
 )
-from conftest import QX, QXY, ZZ, hexpoly_opens, int_graph
+from gsplines.formats import dump_json, opens_from_json
+from gsplines.rings import canonical_key
+from conftest import FACTOR_TEXTS, QX, QXY, ZZ, hexpoly_opens, int_graph, parse_factor
 
 
 def int_open(name, *primes):
@@ -113,6 +116,24 @@ def cover_families(draw):
             for t in sorted(texts)
         )))
     return ring, opens
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_opens_json_round_trip(data):
+    """Opens written with ``format_element`` load back as the same opens; the
+    last open repeats the first one's texts, so a text recurs across opens."""
+    ring = data.draw(st.sampled_from(list(FACTOR_TEXTS)))
+    opens = []
+    for i in range(data.draw(st.integers(1, 3))):
+        texts = data.draw(st.sets(st.sampled_from(FACTOR_TEXTS[ring]), min_size=1, max_size=3))
+        factors = sorted((parse_factor(t, ring) for t in texts), key=lambda f: canonical_key(f.element))
+        opens.append(BasicOpen(f"U{i}", tuple(factors)))
+    opens.append(BasicOpen("V", opens[0].invert))
+    doc = {"opens": [
+        {"name": o.name, "invert": [format_element(f.element, ring) for f in o.invert]} for o in opens
+    ]}
+    assert opens_from_json(json.loads(dump_json(doc)), ring) == tuple(opens)
 
 
 def generates_unit_ideal(ring, opens):

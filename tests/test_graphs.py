@@ -101,6 +101,15 @@ def test_graph_json_round_trip(g, n):
         assert render_graph_text(back) == render_graph_text(h)
 
 
+def test_label_texts_parse_per_document():
+    """The same label text loads in each document's own ring."""
+    for variables in (["x"], ["x", "y"]):
+        doc = {"ring": {"kind": "PolyQ", "variables": variables}, "vertices": ["u", "v"],
+               "edges": [{"ends": ["u", "v"], "label": {"factors": [["x-1", 1]]}}]}
+        (edge,) = graph_from_json(doc).edges
+        assert edge.label.factors[0].element.nvars == len(variables)
+
+
 def test_residue_label_power_is_reduced_as_it_is_read():
     def z12(factors):
         return graph_from_json({

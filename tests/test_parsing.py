@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsplines import (
     ParseError,
@@ -13,7 +15,8 @@ from gsplines import (
     format_element,
     parse_element,
 )
-from conftest import QX, QXY, ZZ
+from conftest import FACTOR_TEXTS, QX, QXY, ZZ
+from parsing_reference import reference_parse_element
 
 
 def test_parse_circle_times_line():
@@ -73,6 +76,19 @@ def test_error_positions_and_unknown_variables():
         parse_element("x $ 2", QX)
 
 
+def test_non_ascii_digits_are_unexpected_characters():
+    # Naturals are ASCII digits: '²' is a digit to str.isdigit but not to
+    # int(), and '٣' (Arabic-Indic three) is a decimal digit to both.
+    with pytest.raises(ParseError) as err:
+        parse_element("x^²", QX)
+    assert err.value.position == 2
+    assert "unexpected character '²'" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_element("٣", ZZ)
+    assert err.value.position == 0
+    assert "unexpected character '٣'" in str(err.value)
+
+
 def test_unary_minus_binds_before_exponent():
     # Per the grammar '-' is part of base, so -x^2 squares the negation.
     assert parse_element("-x^2", QX) == parse_element("x^2", QX)
@@ -107,3 +123,69 @@ def test_parse_format_canonicalizes():
     text = "x*x + x^2 + 0*y"
     p = parse_element(text, QXY)
     assert format_element(p, QXY) == "2*x^2"
+
+
+# --- the term-dict evaluator against the Poly-arithmetic reference ---------------
+
+
+def outcome(parse, text, ring):
+    """What parsing ``text`` gives: the element and its repr (so ``Fraction``
+    and ``int`` coefficients differ), or the error's type, message and
+    position."""
+    try:
+        value = parse(text, ring)
+    except ParseError as err:
+        return type(err), str(err), err.position
+    return value, repr(value)
+
+
+def expressions(ring):
+    """Random expression strings over ``+ - * ^ ( )``, unary ``-``,
+    rationals and the ring's variables, with optional spaces."""
+    leaves = st.one_of(
+        st.integers(0, 20).map(str),
+        st.tuples(st.integers(0, 20), st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.sampled_from(ring.variables or ("1",)),
+    )
+
+    def grow(sub):
+        return st.one_of(
+            st.tuples(sub, st.sampled_from(["+", " - ", "*", " * "]), sub).map("".join),
+            st.tuples(sub, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            sub.map(lambda a: f"-{a}"),
+            sub.map(lambda a: f"( {a} )"),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+EXPRESSIONS = {ring: expressions(ring) for ring in (ZZ, QX, QXY)}
+
+
+@st.composite
+def malformed(draw, ring):
+    """A valid expression truncated, with a stray symbol inserted, or with a
+    bad exponent appended."""
+    text = draw(EXPRESSIONS[ring])
+    how = draw(st.sampled_from(["truncate", "stray", "exponent"]))
+    if how == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if how == "stray":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from("$^*)(/+-.²٣Ⅻ z")) + text[at:]
+    return text + "^" + draw(st.sampled_from(["", "y", "-1", "1/2", "(2)", "²", "x"]))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QX, QXY])
+def test_factor_texts_match_reference(ring):
+    for text in FACTOR_TEXTS[ring]:
+        assert outcome(parse_element, text, ring) == outcome(reference_parse_element, text, ring)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QX, QXY])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parser_matches_reference(ring, data):
+    for strategy in (EXPRESSIONS[ring], malformed(ring)):
+        text = data.draw(strategy)
+        assert outcome(parse_element, text, ring) == outcome(reference_parse_element, text, ring)
