@@ -41,7 +41,7 @@ Hermite core take whatever route costs least to reach it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DisconnectedInput, InternalError, TooLarge, UnsupportedRing
 from .graphs import Edge, EdgeLabeledGraph, connected_components
@@ -212,17 +212,14 @@ def gkm_check(g: EdgeLabeledGraph, s: Spline) -> bool:
 
 
 def _require_euclidean_ring(ring: RingDescriptor, op: str) -> None:
-    if ring.kind == INT:
+    """``ring`` is a ``work_ring``, so it is ``Int`` or a polynomial ring."""
+    if ring.kind == INT or (ring.kind == POLYQ and ring.nvars == 1):
         return
-    if ring.kind == POLYQ and ring.nvars == 1:
-        return
-    if ring.kind == POLYQ:
-        raise UnsupportedRing(
-            f"{op} needs a Euclidean coefficient ring; multivariate polynomial "
-            "bases are out of scope here - use the certificate tools for "
-            "freeness verdicts over several variables"
-        )
-    raise UnsupportedRing(f"{op} needs a Euclidean coefficient ring")
+    raise UnsupportedRing(
+        f"{op} needs a Euclidean coefficient ring; multivariate polynomial "
+        "bases are out of scope here - use the certificate tools for "
+        "freeness verdicts over several variables"
+    )
 
 
 def _divmod_reduce(a: RingElement, p: RingElement, ring: RingDescriptor):
@@ -417,30 +414,39 @@ def _check_vertex_order(g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str
     return order
 
 
+def _by_component(
+    g: EdgeLabeledGraph,
+    order: Sequence[str],
+    component_rows: Callable[[EdgeLabeledGraph, Tuple[str, ...]], Iterable[Vector]],
+) -> SplineModule:
+    """The module of ``g`` assembled blockwise from each connected
+    component's rows, as ``component_rows`` gives them in the component's
+    share of ``order``; the assembled rows leave through ``_canonical``."""
+    col = {v: i for i, v in enumerate(order)}
+    zero = work_ring(g.ring).zero()
+    rows: List[Vector] = []
+    for comp in connected_components(g):
+        members = set(comp.vertices)
+        comp_order = tuple(v for v in order if v in members)
+        for vec in component_rows(comp, comp_order):
+            row = [zero] * len(order)
+            for v, x in zip(comp_order, vec):
+                row[col[v]] = x
+            rows.append(tuple(row))
+    return _canonical(g, order, rows)
+
+
 def solve_direct(
     g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str]] = None
 ) -> SplineModule:
     """Flow-up basis of the spline module, solved per connected component.
 
     Each component's congruences are imposed by ``_component_rows`` over
-    the work ring (the integers with edge moduli for a residue ring); the
-    assembled rows leave through ``_canonical``.
+    the work ring (the integers with edge moduli for a residue ring).
     """
     order = _check_vertex_order(g, vertex_order)
-    ring = work_ring(g.ring)
-    _require_euclidean_ring(ring, "basis computation")
-    rows: List[Vector] = []
-    zero = ring.zero()
-    global_col = {v: i for i, v in enumerate(order)}
-    for comp in connected_components(g):
-        members = set(comp.vertices)
-        comp_order = [v for v in order if v in members]
-        for vec in _component_rows(comp, comp_order):
-            row = [zero] * len(order)
-            for v, x in zip(comp_order, vec):
-                row[global_col[v]] = x
-            rows.append(tuple(row))
-    return _canonical(g, order, rows)
+    _require_euclidean_ring(work_ring(g.ring), "basis computation")
+    return _by_component(g, order, _component_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -575,20 +581,13 @@ def incremental_assembled(
     """Incremental build per connected component, assembled blockwise."""
     order = _check_vertex_order(g, vertex_order)
     traces: List[LimitTrace] = []
-    rows: List[Vector] = []
-    col = {v: i for i, v in enumerate(order)}
-    zero = work_ring(g.ring).zero()
-    for comp in connected_components(g):
-        members = set(comp.vertices)
-        comp_order = tuple(v for v in order if v in members)
+
+    def grow(comp: EdgeLabeledGraph, comp_order: Tuple[str, ...]) -> List[Vector]:
         comp_rows, trace = _grow(comp, None, comp_order)
         traces.append(trace)
-        for row in comp_rows:
-            vec = [zero] * len(order)
-            for v, x in zip(comp_order, row):
-                vec[col[v]] = x
-            rows.append(tuple(vec))
-    return _canonical(g, order, rows), traces
+        return comp_rows
+
+    return _by_component(g, order, grow), traces
 
 
 def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:

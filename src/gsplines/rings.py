@@ -881,11 +881,9 @@ def trivializes(label: FactoredElement, ring: RingDescriptor) -> bool:
 
     The zero ideal never trivializes; a nonzero ideal trivializes exactly
     when every one of its factors is an associate of an inverted factor.
+    This is the test ``restrict`` applies to each label.
     """
-    if label.is_zero:
-        return False
-    inverted = set(ring.inverted_elements())
-    return all(f.element in inverted for f in label.factors)
+    return label.without(set(ring.inverted_elements())).is_unit_ideal()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ factors this produces, for every factor, a partition of the vertices (the
 fiber over that factor), and a gluing multigraph with one link per
 (edge, factor) incidence.  The hole count is the cycle rank of that
 multigraph; it is an artifact-level first Betti number of the gluing
-structure, not a claim about scheme topology.
+structure, not a claim about scheme topology.  Every report field derives
+from the gluing links alone, in one builder.
 
 Zero-ideal labels identify their endpoints everywhere: they glue in every
 fiber and contribute a single generic link.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import UnrelatedGraphs
-from .graphs import EdgeLabeledGraph, restrict
+from .graphs import EdgeLabeledGraph, contract_edge, delete_edge, delete_vertex, restrict
 from .rings import (
     Factor,
     RingDescriptor,
@@ -102,22 +103,6 @@ def fiber_over(g: EdgeLabeledGraph, p: Union[Factor, RingElement]):
     return _partition(g.vertices, pairs)
 
 
-def _fibers(g: EdgeLabeledGraph) -> Dict[RingElement, Tuple[Tuple[str, ...], ...]]:
-    """``fiber_over`` at every factor of a label, in ``canonical_key``
-    order, from one pass over the edges; zero labels glue in every fiber."""
-    glued: Dict[RingElement, List[Tuple[str, str]]] = {}
-    everywhere: List[Tuple[str, str]] = []
-    for e in g.edges:
-        if e.label.is_zero:
-            everywhere.append((e.a, e.b))
-        for f in e.label.factors:
-            glued.setdefault(f.element, []).append((e.a, e.b))
-    return {
-        p: _partition(g.vertices, everywhere + glued[p])
-        for p in sorted(glued, key=canonical_key)
-    }
-
-
 def _links_of(g: EdgeLabeledGraph) -> List[Link]:
     links: List[Link] = []
     for e in g.edges:
@@ -129,31 +114,43 @@ def _links_of(g: EdgeLabeledGraph) -> List[Link]:
     return links
 
 
-def _cycle_data(vertices: Sequence[str], links: Sequence[Link]):
-    comps = _partition(vertices, [(a, b) for a, b, _ in links])
-    components = len(comps)
-    hole_count = len(links) - len(vertices) + components
-    return hole_count, components
+def _report(
+    vertices: Tuple[str, ...], ring: RingDescriptor, links: Sequence[Link]
+) -> SpectrumReport:
+    """The report read off gluing links alone.
+
+    The fiber at a factor is the partition by its links plus the generic
+    ones, factors in ``canonical_key`` order; the generic links alone give
+    the generic points, and all links the components and the hole count.
+    """
+    everywhere: List[Tuple[str, str]] = []
+    glued: Dict[RingElement, List[Tuple[str, str]]] = {}
+    for a, b, p in links:
+        if p == GENERIC:
+            everywhere.append((a, b))
+        else:
+            glued.setdefault(p, []).append((a, b))
+    fibers = {
+        p: _partition(vertices, everywhere + glued[p])
+        for p in sorted(glued, key=canonical_key)
+    }
+    components = len(_partition(vertices, [(a, b) for a, b, _ in links]))
+    return SpectrumReport(
+        vertices=vertices,
+        ring=ring,
+        relevant_primes=tuple(fibers),
+        fibers=fibers,
+        links=tuple(links),
+        fully_glued_pairs=tuple(everywhere),
+        hole_count=len(links) - len(vertices) + components,
+        components=components,
+        generic_points=len(_partition(vertices, everywhere)),
+    )
 
 
 def spectrum_report(g: EdgeLabeledGraph) -> SpectrumReport:
     """Fibers, gluing links, hole count and component count for ``g``."""
-    fibers = _fibers(g)
-    links = _links_of(g)
-    hole_count, components = _cycle_data(g.vertices, links)
-    glued_pairs = tuple((e.a, e.b) for e in g.edges if e.label.is_zero)
-    generic_points = len(_partition(g.vertices, glued_pairs))
-    return SpectrumReport(
-        vertices=g.vertices,
-        ring=g.ring,
-        relevant_primes=tuple(fibers),
-        fibers=fibers,
-        links=tuple(links),
-        fully_glued_pairs=glued_pairs,
-        hole_count=hole_count,
-        components=components,
-        generic_points=generic_points,
-    )
+    return _report(g.vertices, g.ring, _links_of(g))
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +160,16 @@ def spectrum_report(g: EdgeLabeledGraph) -> SpectrumReport:
 def base_change_commutes(g: EdgeLabeledGraph, invert) -> BaseChangeCheck:
     """Compare restricting-then-reporting with reporting-then-filtering.
 
-    The filtered side removes from the full report every fiber at an
-    inverted factor and every gluing link it induced, then recomputes the
-    derived counts.  The two sides must agree exactly.
+    The filtered side is the report of ``g``'s gluing links minus those at
+    inverted factors.  The two sides must agree exactly.
     """
     outcome = restrict(g, invert)
     restricted = spectrum_report(outcome.graph)
     inverted = frozenset(outcome.graph.ring.inverted_elements())
-
-    full = spectrum_report(g)
-    surviving = [p for p in full.relevant_primes if p not in inverted]
-    fibers = {p: full.fibers[p] for p in surviving}
-    links = tuple(
-        (a, b, p) for a, b, p in full.links if p == GENERIC or p not in inverted
-    )
-    hole_count, components = _cycle_data(full.vertices, links)
-    filtered = SpectrumReport(
-        vertices=full.vertices,
-        ring=restricted.ring,
-        relevant_primes=tuple(surviving),
-        fibers=fibers,
-        links=links,
-        fully_glued_pairs=full.fully_glued_pairs,
-        hole_count=hole_count,
-        components=components,
-        generic_points=full.generic_points,
+    filtered = _report(
+        g.vertices,
+        restricted.ring,
+        [(a, b, p) for a, b, p in _links_of(g) if p == GENERIC or p not in inverted],
     )
 
     issues = []
@@ -224,38 +206,47 @@ def _classes_text(classes: Sequence[Sequence[str]]) -> str:
     return " ".join("{" + ",".join(c) + "}" for c in classes)
 
 
+def _same_graph(g: EdgeLabeledGraph, h: EdgeLabeledGraph) -> bool:
+    """Equal up to vertex order and edge orientation."""
+
+    def labels(x: EdgeLabeledGraph):
+        return {frozenset((e.a, e.b)): e.label for e in x.edges}
+
+    return (
+        g.ring == h.ring and set(g.vertices) == set(h.vertices) and labels(g) == labels(h)
+    )
+
+
 def _infer_operation(before: EdgeLabeledGraph, after: EdgeLabeledGraph) -> Tuple[str, ...]:
+    """The one operation the vertex sets allow, confirmed by running it on
+    ``before``: its result must be ``after``."""
     bv, av = set(before.vertices), set(after.vertices)
+    op, result = None, None
     if bv == av:
-        removed = [
-            e for e in before.edges
-            if not any({e.a, e.b} == {f.a, f.b} for f in after.edges)
-        ]
-        added = [
-            f for f in after.edges
-            if not any({e.a, e.b} == {f.a, f.b} for e in before.edges)
-        ]
-        if len(removed) == 1 and not added:
-            e = removed[0]
-            return ("delete-edge", e.a, e.b)
-        raise UnrelatedGraphs("the graphs do not differ by one edge deletion")
-    if bv - av and not av - bv and len(bv - av) == 1:
+        removed = [e for e in before.edges if after.edge_between(e.a, e.b) is None]
+        if len(removed) == 1:
+            (e,) = removed
+            op, result = ("delete-edge", e.a, e.b), delete_edge(before, e.a, e.b)
+    elif av < bv and len(bv - av) == 1:
         (gone,) = bv - av
-        return ("delete-vertex", gone)
-    new = av - bv
-    gone = bv - av
-    if len(new) == 1 and len(gone) == 2:
+        op, result = ("delete-vertex", gone), delete_vertex(before, gone)
+    elif len(av - bv) == 1 and len(bv - av) == 2:
         # ``contract_edge`` names the merged vertex ``u~v``, primed until
         # fresh; the endpoint names may themselves contain ``~``.
-        (merged,) = new
-        a, b = gone
+        (merged,) = av - bv
+        a, b = bv - av
         for u, v in ((a, b), (b, a)):
             stem = f"{u}~{v}"
             if merged.startswith(stem) and not merged[len(stem):].strip("'"):
-                return ("contract", u, v, merged)
-    raise UnrelatedGraphs(
-        "the vertex sets do not differ by one deletion or contraction"
-    )
+                if before.edge_between(u, v) is not None:
+                    op, result = ("contract", u, v, merged), contract_edge(before, u, v)
+                break
+    if op is None or not _same_graph(result, after):
+        raise UnrelatedGraphs(
+            "the graphs are not related by one edge deletion, vertex deletion "
+            "or edge contraction"
+        )
+    return op
 
 
 def spectrum_diff(before: EdgeLabeledGraph, after: EdgeLabeledGraph) -> SpectrumDiff:

@@ -47,6 +47,23 @@ def path_graph():
     return int_graph(["u", "v", "w"], [("u", "v", 3), ("v", "w", 5)])
 
 
+SQUARE_EDGES = [("u", "v", 3), ("u", "w", 5), ("u", "x", 7), ("v", "w", 2), ("w", "x", 11)]
+
+
+def unrelated_pairs():
+    """``(before, after)`` pairs whose vertex sets suggest one operation
+    that does not produce ``after``: deleting ``x`` and also ``u-w``; an
+    edgeless graph on the contracted vertex set; deleting ``u-x`` while
+    relabeling ``u-v`` from 3 to 2."""
+    square = int_graph(["u", "v", "w", "x"], SQUARE_EDGES)
+    relabeled = [(a, b, 2 if (a, b) == ("u", "v") else n) for a, b, n in SQUARE_EDGES]
+    return [
+        (square, int_graph(["u", "v", "w"], [("u", "v", 3), ("v", "w", 2)])),
+        (square, int_graph(["u~v", "w", "x"], [])),
+        (square, int_graph(["u", "v", "w", "x"], [e for e in relabeled if e[:2] != ("u", "x")])),
+    ]
+
+
 HEX_COFACTORS = (1, 2, 4, 8, 11, 13)
 
 

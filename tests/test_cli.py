@@ -3,9 +3,9 @@ import json
 import pytest
 
 from gsplines import InternalError, Residue, SplineModule
-from gsplines import cli
+from gsplines import cli, formats
 from gsplines.cli import main
-from conftest import fixture_path
+from conftest import fixture_path, unrelated_pairs
 
 
 def run(capsys, *argv):
@@ -292,6 +292,16 @@ def test_exit_codes(capsys, tmp_path):
     )
     code, _, err = run(capsys, "verify", str(big), "--mod", "8")
     assert code == 1
+    # graphs no single deletion or contraction relates
+    for i, pair in enumerate(unrelated_pairs()):
+        paths = []
+        for side, g in zip(("before", "after"), pair):
+            f = tmp_path / f"{side}{i}.json"
+            f.write_text(formats.dump_json(formats.graph_to_json(g)))
+            paths.append(str(f))
+        code, out, err = run(capsys, "diff", *paths)
+        assert (code, out) == (2, "")
+        assert "not related by one edge deletion" in err
 
 
 def test_unknown_flag_is_an_error(capsys):

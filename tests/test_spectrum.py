@@ -18,8 +18,18 @@ from gsplines import (
     spectrum_diff,
     spectrum_report,
 )
+from gsplines.graphs import RestrictionOutcome, classify
 from gsplines.rings import canonical_key
-from conftest import FACTOR_TEXTS, ZZ, factored_graphs, int_graph, int_label, parse_factor
+from conftest import (
+    FACTOR_TEXTS,
+    QX,
+    ZZ,
+    factored_graphs,
+    int_graph,
+    int_label,
+    parse_factor,
+    unrelated_pairs,
+)
 
 
 def classes(partition):
@@ -233,6 +243,35 @@ def test_base_change_commutes_on_random_graphs(g, data):
     assert check.commutes, check.discrepancies
 
 
+@pytest.mark.parametrize(
+    "edges, expected",
+    [
+        # u-v's only factor, 3, is inverted, yet the edge is kept
+        (
+            [("u", "v", 3), ("v", "w", 5), ("u", "w", 7)],
+            ("relevant factors differ", "gluing links differ", "hole count differs: 1 vs 0"),
+        ),
+        # v-w survives the localization, yet it is dropped
+        (
+            [("u", "w", 7)],
+            ("relevant factors differ", "gluing links differ", "components differ: 2 vs 1"),
+        ),
+        # the factor 5 moved from v-w to u-v
+        ([("u", "v", 5), ("u", "w", 7)], ("fiber at 5 differs", "gluing links differ")),
+    ],
+)
+def test_base_change_refutes_a_faulty_restriction(triangle, monkeypatch, edges, expected):
+    def faulty(g, invert):
+        ring = g.ring.localize(invert)
+        graph = normalize(ring, g.vertices, [(a, b, int_label(n)) for a, b, n in edges])
+        return RestrictionOutcome(graph, (), classify(graph))
+
+    monkeypatch.setattr("gsplines.spectrum.restrict", faulty)
+    check = base_change_commutes(triangle, [make_factor(3, ZZ)])
+    assert not check
+    assert check.discrepancies == expected
+
+
 # --- diffs -----------------------------------------------------------------------
 
 
@@ -289,6 +328,12 @@ def test_diff_unrelated(triangle):
     both = delete_edge(delete_edge(triangle, "u", "v"), "v", "w")
     with pytest.raises(UnrelatedGraphs):
         spectrum_diff(triangle, both)
+    for before, after in unrelated_pairs():
+        with pytest.raises(UnrelatedGraphs):
+            spectrum_diff(before, after)
+    # deleting w would give the edgeless graph on u, v, but over Int
+    with pytest.raises(UnrelatedGraphs):
+        spectrum_diff(delete_edge(triangle, "u", "v"), normalize(QX, ["u", "v"], []))
 
 
 def test_delete_edge_never_increases_holes():
