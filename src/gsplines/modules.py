@@ -33,7 +33,8 @@ Hermite core take whatever route costs least to reach it:
 * ``_impose`` cuts a module down by edge congruences with one
   ``hermite_rows`` pass over the rows prefixed by their endpoint
   differences; the direct solver and the incremental edge equalizer both
-  call it,
+  call it; it discards the prefix pivot rows unfinished, and folds each
+  equalizer from the module's last pivot,
 * a leaf pullback in ``_step`` starts from a canonical basis, so only the
   new column needs reducing, modulo the normalized edge generator.
 """
@@ -41,6 +42,7 @@ Hermite core take whatever route costs least to reach it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DisconnectedInput, InternalError, TooLarge, UnsupportedRing
@@ -237,7 +239,10 @@ def _divmod_reduce(a: RingElement, p: RingElement, ring: RingDescriptor):
 
 def _minus_multiple(row: Vector, q: RingElement, by: Vector) -> Vector:
     """``row - q*by``, computed only where ``by`` is nonzero."""
-    return tuple(x - q * y if y else x for x, y in zip(row, by))
+    out = list(row)
+    for i, y in compress(enumerate(by), by):
+        out[i] -= q * y
+    return tuple(out)
 
 
 def _row_combine(r1: Vector, r2: Vector, ring: RingDescriptor, col: int):
@@ -249,10 +254,7 @@ def _row_combine(r1: Vector, r2: Vector, ring: RingDescriptor, col: int):
     the row with the dividing entry is kept and the other row loses a
     multiple of it, computed only where the kept row is nonzero.  ``r2``'s
     entry is tried as the divisor first, so for associate entries ``r2`` is
-    kept, as the extended-gcd transform keeps it.  In ``hermite_rows``
-    ``r1`` is the row folded so far and ``r2`` the next row of the bucket;
-    keeping ``r2`` there is measurably faster on the benchmark's integer
-    pools than keeping ``r1``.
+    kept, as the extended-gcd transform keeps it.
     Otherwise it is the transform ``(u*r1 + v*r2, (b/g)*r1 - (a/g)*r2)``
     with ``u*a + v*b = g``.
     """
@@ -290,7 +292,9 @@ def _file_row(buckets: List[List[Vector]], row: Vector, start: int) -> None:
             return
 
 
-def hermite_rows(rows: Iterable[Vector], width: int, ring: RingDescriptor):
+def hermite_rows(
+    rows: Iterable[Vector], width: int, ring: RingDescriptor, discard: int = 0
+):
     """Canonical row Hermite form; returns ``(rows, pivots)`` without zero rows.
 
     Every row is filed once in the bucket of its leading column.  Column
@@ -299,6 +303,11 @@ def hermite_rows(rows: Iterable[Vector], width: int, ring: RingDescriptor):
     from ``col + 1``, so no column rescans rows that are zero there.  The
     folded row is normalized, and the nonzero entries above its pivot are
     reduced modulo it.
+
+    Pivot rows in the first ``discard`` columns are folded but dropped
+    unfinished: not normalized, and no later pivot reduces them.  Reducing
+    above a pivot changes only the earlier rows, so the rows kept are those
+    of the full form.
     """
     buckets: List[List[Vector]] = [[] for _ in range(width)]
     for r in rows:
@@ -313,6 +322,8 @@ def hermite_rows(rows: Iterable[Vector], width: int, ring: RingDescriptor):
             acc, r2 = _row_combine(acc, r, ring, col)
             _file_row(buckets, r2, col + 1)
         carrying.clear()  # free the folded rows before the next column
+        if col < discard:
+            continue
         acc = _normalize_row(acc, col, ring)
         # Reduce the entries above this pivot into canonical range.
         for i, prev in enumerate(fixed):
@@ -326,7 +337,7 @@ def hermite_rows(rows: Iterable[Vector], width: int, ring: RingDescriptor):
 
 
 def _impose(
-    rows: Iterable[Vector],
+    rows: Sequence[Vector],
     width: int,
     constraints: Sequence[Tuple[int, int, RingElement]],
     ring: RingDescriptor,
@@ -340,18 +351,21 @@ def _impose(
     exactly when its tail meets every congruence, so after one
     ``hermite_rows`` pass the rows whose pivot lies past the prefix span
     the constrained module, and their tails are its canonical rows: the
-    kernel read off the Hermite form of ``[constraints | identity]``.
+    kernel read off the Hermite form of ``[constraints | identity]``, with
+    the prefix pivot rows discarded unfinished.  The flow-up ``rows`` enter
+    last pivot first, so each row a difference column leaves over leads at
+    its own pivot, not all at the first one.
     """
     k = len(constraints)
     zero = ring.zero()
-    full = [tuple(r[a] - r[b] for a, b, _ in constraints) + tuple(r) for r in rows]
+    full = [tuple(r[a] - r[b] for a, b, _ in constraints) + tuple(r) for r in rows[::-1]]
     full += [
         (zero,) * i + (gen,) + (zero,) * (k - 1 - i + width)
         for i, (_, _, gen) in enumerate(constraints)
         if gen
     ]
-    hrows, pivots = hermite_rows(full, k + width, ring)
-    return tuple(row[k:] for row, p in zip(hrows, pivots) if p >= k)
+    hrows, _ = hermite_rows(full, k + width, ring, discard=k)
+    return tuple(row[k:] for row in hrows)
 
 
 # ---------------------------------------------------------------------------

@@ -806,3 +806,100 @@ def test_impose_matches_kernel_reference(case):
     ring, width, rows, constraints = case
     expected = reference_impose(rows, width, constraints, ring)
     assert _impose(rows, width, constraints, ring) == expected
+
+
+# --- closed forms and the cost cliffs of the Hermite pass -------------------------
+
+
+def pivot_product(m):
+    return math.prod(row[p] for row, p in zip(m.rows, m.pivots))
+
+
+@st.composite
+def labeled_shapes(draw, cycle):
+    """``(vertices, edges, vertex_order)``: a random tree on 2-11 vertices or
+    a cycle on 3-11, integer labels 2-89 and a random vertex order."""
+    nv = draw(st.integers(3 if cycle else 2, 11))
+    vs = [f"v{i}" for i in range(nv)]
+    if cycle:
+        pairs = [(i, (i + 1) % nv) for i in range(nv)]
+    else:
+        pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, nv)]
+    labels = draw(st.lists(st.integers(2, 89), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(vs[a], vs[b], n) for (a, b), n in zip(pairs, labels)]
+    return vs, edges, draw(st.permutations(vs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_shapes(cycle=False))
+def test_tree_index_is_product_of_labels(case):
+    # Gilbert-Polster-Tymoczko: 1 and, per edge, its label on the side of
+    # the edge away from the root form a basis, so the index is prod(l_e).
+    vs, edges, order = case
+    m = solve_direct(int_graph(vs, edges), order)
+    assert pivot_product(m) == math.prod(n for _, _, n in edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_shapes(cycle=True))
+def test_cycle_index_is_product_over_gcd(case):
+    vs, edges, order = case
+    labels = [n for _, _, n in edges]
+    m = solve_direct(int_graph(vs, edges), order)
+    assert pivot_product(m) == math.prod(labels) // math.gcd(*labels)
+
+
+PRIMES_BELOW_50 = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
+
+
+def two_prime_graph(pairs, seed):
+    rng = random.Random(seed)
+    nv = 1 + max(max(pair) for pair in pairs)
+    vs = [f"v{i}" for i in range(nv)]
+    edges = [
+        (vs[a], vs[b], rng.choice(PRIMES_BELOW_50) * rng.choice(PRIMES_BELOW_50))
+        for a, b in pairs
+    ]
+    return int_graph(vs, edges)
+
+
+def test_incremental_cycle_entries_stay_small(monkeypatch):
+    # Each equalizer folds last pivot first, so no row carries every
+    # earlier pivot's entries along (725-bit entries when first pivot first).
+    from gsplines import modules
+
+    g = two_prime_graph([(i, (i + 1) % 36) for i in range(36)], 0)
+    combine = modules._row_combine
+    widest = []
+
+    def spy(r1, r2, ring, col):
+        out = combine(r1, r2, ring, col)
+        widest.append(max(abs(x).bit_length() for row in out for x in row))
+        return out
+
+    monkeypatch.setattr(modules, "_row_combine", spy)
+    incremental_assembled(g)
+    assert widest and max(widest) < 64
+
+
+# Complete graphs that stay well under a second only while _impose drops its
+# prefix rows unfinished and folds from the last pivot (direct integer K16,
+# incremental Q[x] K8 took seconds otherwise).
+
+
+def test_three_way_agreement_on_int_k16():
+    pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+    assert_three_way(two_prime_graph(pairs, 5))
+
+
+def test_three_way_agreement_on_qx_k8():
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    roots = [r - len(pairs) // 2 for r in range(len(pairs))]
+    random.Random(5).shuffle(roots)
+    vs = [f"v{i}" for i in range(8)]
+    linear = lambda r: parse_element(f"x-{r}" if r >= 0 else f"x+{-r}", QX)
+    edges = [
+        (vs[a], vs[b], FactoredElement((make_factor(linear(r), QX),)))
+        for (a, b), r in zip(pairs, roots)
+    ]
+    assert_three_way(normalize(QX, vs, edges))
