@@ -65,6 +65,7 @@ from .rings import (
     is_zero_element,
     normalized_associate,
     poly_divmod,
+    rational_quotient,
     unit_part,
 )
 from .rings import gcd as ring_gcd
@@ -279,7 +280,7 @@ def _normalize_row(row: Vector, col: int, ring: RingDescriptor) -> Vector:
     u = unit_part(row[col], ring)
     if ring.kind == INT:
         return row if u == 1 else tuple(-x for x in row)
-    inv = 1 / u
+    inv = rational_quotient(1, u)
     return tuple(x * inv for x in row)
 
 
@@ -807,7 +808,7 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
         if ring.kind == INT:
             num = num * u
         else:
-            num = num * (1 / u)
+            num = num * rational_quotient(1, u)
         num_den.append((num, den))
         residual = [
             x * den - num * denominator * y for x, y in zip(residual, row)

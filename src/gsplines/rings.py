@@ -13,7 +13,11 @@ Canonical forms used throughout:
   residue ``a`` is ``gcd(a, n)`` (the canonical generator of the ideal),
 * polynomials are stored as sorted sparse term lists under the graded
   lexicographic order induced by the declared variable order; the
-  normalized associate is the monic scalar multiple.
+  normalized associate is the monic scalar multiple.  A coefficient is an
+  ``int`` when it is integral and a ``Fraction`` with denominator > 1
+  otherwise, so integral arithmetic runs on ints; every division that
+  makes a coefficient goes through ``rational_quotient``, which never lets
+  two ints meet ``/``.  Float coefficients are rejected.
 
 All values are immutable and all functions are pure, so concurrent use
 needs no coordination.
@@ -34,6 +38,7 @@ MODINT = "ModInt"
 POLYQ = "PolyQ"
 
 Exponents = Tuple[int, ...]
+Coefficient = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -81,13 +86,18 @@ class Poly:
 
     Canonical form: ``terms`` is a tuple of ``(exponent_vector, coefficient)``
     pairs in strictly descending graded-lexicographic order, every exponent
-    vector a tuple of ``nvars`` non-negative ints, every coefficient a nonzero
-    ``Fraction``; the zero polynomial is the empty tuple.  The constructor
-    validates and canonicalizes arbitrary input.  Arithmetic results are
-    canonical by construction and go through ``Poly._of``, which stores a term
-    tuple as given.  Canonical terms make ``==`` and ``hash`` decide equality
-    of polynomials; the hash is computed on first use and kept in ``_hash``,
-    and the sort key of ``canonical_key`` likewise in ``_key``.
+    vector a tuple of ``nvars`` non-negative ints, every coefficient nonzero
+    and either an ``int`` or a ``Fraction`` with denominator > 1 (never a
+    ``Fraction`` with denominator 1); the zero polynomial is the empty
+    tuple.  ``int`` and ``Fraction`` compare and hash alike, so integral
+    arithmetic runs on ints without changing ``==`` or ``hash``; ``repr``
+    prints integral coefficients as ints.  The constructor validates and
+    canonicalizes arbitrary input and rejects ``float`` coefficients.
+    Arithmetic results are canonical by construction and go through
+    ``Poly._of``, which stores a term tuple as given.  Canonical terms make
+    ``==`` and ``hash`` decide equality of polynomials; the hash is computed
+    on first use and kept in ``_hash``, and the sort key of
+    ``canonical_key`` likewise in ``_key``.
     """
 
     __slots__ = ("nvars", "terms", "_hash", "_key")
@@ -99,14 +109,14 @@ class Poly:
             e = tuple(int(x) for x in exps)
             if len(e) != nvars or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {e} for {nvars} variable(s)")
-            c = Fraction(coeff)
+            c = _coefficient(coeff)
             if c:
                 acc[e] = acc[e] + c if e in acc else c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", _sorted_terms(acc))
 
     @classmethod
-    def _of(cls, nvars: int, terms: Tuple[Tuple[Exponents, Fraction], ...]) -> "Poly":
+    def _of(cls, nvars: int, terms: Tuple[Tuple[Exponents, Coefficient], ...]) -> "Poly":
         """A polynomial whose ``terms`` are already in canonical form."""
         p = object.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
@@ -118,7 +128,7 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
-        c = Fraction(c)
+        c = _coefficient(c)
         return cls._of(nvars, (((0,) * nvars, c),) if c else ())
 
     @property
@@ -133,9 +143,9 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or sum(self.terms[0][0]) == 0
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Coefficient:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
         return self.terms[0][1]
@@ -145,7 +155,7 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         return sum(self.terms[0][0]) if self.terms else -1
 
-    def leading(self) -> Tuple[Exponents, Fraction]:
+    def leading(self) -> Tuple[Exponents, Coefficient]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0]
@@ -197,11 +207,14 @@ class Poly:
     def __rsub__(self, other):
         return -(self - other)
 
-    def _scaled(self, c: Fraction) -> "Poly":
+    def _scaled(self, c: Coefficient) -> "Poly":
         # A nonzero rational keeps every coefficient nonzero and the order.
         if c == 1:
             return self
-        return Poly._of(self.nvars, tuple((e, k * c) for e, k in self.terms))
+        return Poly._of(
+            self.nvars,
+            tuple((e, v if type(v := k * c) is int else _integral(v)) for e, k in self.terms),
+        )
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -256,9 +269,41 @@ def _term_key(term):
     return (sum(exps), exps)
 
 
-def _sorted_terms(acc: dict) -> Tuple[Tuple[Exponents, Fraction], ...]:
-    """The nonzero terms of an exponent -> coefficient dict, grlex-descending."""
-    return tuple(sorted(((e, c) for e, c in acc.items() if c), key=_term_key, reverse=True))
+def _sorted_terms(acc: dict) -> Tuple[Tuple[Exponents, Coefficient], ...]:
+    """The nonzero terms of an exponent -> rational dict, grlex-descending,
+    with canonical coefficients."""
+    return tuple(
+        sorted(
+            ((e, c if type(c) is int else _integral(c)) for e, c in acc.items() if c),
+            key=_term_key,
+            reverse=True,
+        )
+    )
+
+
+def _integral(c: Coefficient) -> Coefficient:
+    """``c`` as an ``int`` when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _coefficient(c) -> Coefficient:
+    """Validate an exact rational and return its canonical form."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"polynomial coefficients must be exact, not the float {c!r}")
+    return _integral(Fraction(c))
+
+
+def rational_quotient(a: Coefficient, b: Coefficient) -> Coefficient:
+    """``a / b`` for canonical coefficients, itself canonical.
+
+    Two ints never meet ``/``, which would give a float.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _integral(a / b)
 
 
 RingElement = Union[int, Residue, Poly]
@@ -276,12 +321,15 @@ def _dense(p: Poly, var: int) -> List:
 
 
 def _from_dense(coeffs: Sequence, nvars: int, var: int) -> Poly:
-    """The polynomial in the variable ``var`` with the given dense coefficients."""
+    """The polynomial in the variable ``var`` with the given dense rational
+    coefficients."""
     before, after = (0,) * var, (0,) * (nvars - var - 1)
     return Poly._of(
         nvars,
         tuple(
-            (before + (d,) + after, c) for d in range(len(coeffs) - 1, -1, -1) if (c := coeffs[d])
+            (before + (d,) + after, c if type(c) is int else _integral(c))
+            for d in range(len(coeffs) - 1, -1, -1)
+            if (c := coeffs[d])
         ),
     )
 
@@ -311,7 +359,7 @@ def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
         c = r[k + db]
         if not c:
             continue
-        c = c / lead
+        c = rational_quotient(c, lead)
         q[k] = c
         for j in range(db):
             if bc[j]:
@@ -450,7 +498,7 @@ def unit_part(x: RingElement, ring: RingDescriptor):
     if ring.kind == INT:
         return 1 if x > 0 else -1
     if ring.kind == POLYQ:
-        return x.leading()[1]
+        return Fraction(x.leading()[1])
     # Residues: u with x = u * gcd(x, n); pick the canonical solution.
     g = math.gcd(x.value, ring.modulus)
     q = exact_divide(x, Residue(g, ring.modulus), ring)
@@ -464,7 +512,7 @@ def normalized_associate(x: RingElement, ring: RingDescriptor) -> RingElement:
     if ring.kind == INT:
         return abs(x)
     if ring.kind == POLYQ:
-        return x * (1 / x.leading()[1])
+        return x._scaled(rational_quotient(1, x.leading()[1]))
     return Residue(math.gcd(x.value, ring.modulus), ring.modulus)
 
 
@@ -475,7 +523,9 @@ def canonical_key(x: RingElement):
     It is a sort key only.  Normalized factors are canonical ``Poly``s,
     positive ints or residues, so the element's own ``==`` and ``hash``
     decide "same factor"; sets and dicts of factors hold the elements.
-    A ``Poly``'s key is computed once and kept in its ``_key`` slot.
+    A ``Poly``'s key is computed once and kept in its ``_key`` slot.  It
+    spells every coefficient as a ``Fraction``, so that factor order does
+    not depend on which coefficients are stored as ints.
     """
     if isinstance(x, int):
         return (0, x, "")
@@ -484,7 +534,7 @@ def canonical_key(x: RingElement):
     try:
         return x._key
     except AttributeError:
-        key = (x.degree, 0, repr(x.terms))
+        key = (x.degree, 0, repr(tuple((e, Fraction(c)) for e, c in x.terms)))
         object.__setattr__(x, "_key", key)
         return key
 
@@ -550,8 +600,8 @@ def extended_gcd(a: RingElement, b: RingElement, ring: RingDescriptor):
         old_v, v = v, old_v - q * v
     if old_r.is_zero:
         return old_r, old_u, old_v
-    c = 1 / old_r.leading()[1]
-    return old_r * c, old_u * c, old_v * c
+    c = rational_quotient(1, old_r.leading()[1])
+    return old_r._scaled(c), old_u._scaled(c), old_v._scaled(c)
 
 
 def exact_divide(a: RingElement, b: RingElement, ring: RingDescriptor) -> Optional[RingElement]:
@@ -584,7 +634,7 @@ def exact_divide(a: RingElement, b: RingElement, ring: RingDescriptor) -> Option
         diff = tuple(x - y for x, y in zip(rexp, bexp))
         if any(d < 0 for d in diff):
             return None
-        t = (diff, rc / bc)
+        t = (diff, rational_quotient(rc, bc))
         qterms.append(t)
         r = r - Poly._of(ring.nvars, (t,)) * b
     return Poly._of(ring.nvars, tuple(qterms))

@@ -162,6 +162,74 @@ def test_basis_incremental_residue_trace_keeps_labels(capsys, tmp_path):
     )
 
 
+def test_basis_qx_golden(capsys, tmp_path):
+    # One monic label with a rational root, one irreducible quadratic and
+    # one label with root 0: the basis mixes integral and rational
+    # coefficients, and the text and JSON spell both as before.
+    doc = {
+        "ring": {"kind": "PolyQ", "variables": ["x"]},
+        "vertices": ["u", "v", "w"],
+        "edges": [
+            {"ends": ["u", "v"], "label": {"factors": [["2*x-3", 1]]}},
+            {"ends": ["v", "w"], "label": {"factors": [["x^2+1", 1]]}},
+            {"ends": ["u", "w"], "label": {"factors": [["x", 1]]}},
+        ],
+    }
+    path = tmp_path / "qx.json"
+    path.write_text(json.dumps(doc))
+    matrix = (
+        "vertex order: u v w\n"
+        "[ 1       1           1 ]\n"
+        "[ 0 x - 3/2 3/2*x^2 + x ]\n"
+        "[ 0       0     x^3 + x ]\n"
+    )
+    code, out, _ = run(capsys, "basis", str(path))
+    assert (code, out) == (0, matrix)
+    code, out, _ = run(capsys, "basis", str(path), "--incremental")
+    assert (code, out) == (0, matrix + (
+        "start: u\n"
+        "leaf-pullback: v attached to u via (x - 3/2)\n"
+        "  [ 1 1 ]\n"
+        "  [ 0 x - 3/2 ]\n"
+        "leaf-pullback: w attached to u via x\n"
+        "  [ 1 1 1 ]\n"
+        "  [ 0 x - 3/2 0 ]\n"
+        "  [ 0 0 x ]\n"
+        "edge-equalizer: v ~ w via (x^2 + 1)\n"
+        "  [ 1 1 1 ]\n"
+        "  [ 0 x - 3/2 3/2*x^2 + x ]\n"
+        "  [ 0 0 x^3 + x ]\n"
+    ))
+    code, out, _ = run(capsys, "basis", str(path), "--json")
+    assert code == 0
+    assert out == (
+        '{\n'
+        '  "vertexOrder": [\n'
+        '    "u",\n'
+        '    "v",\n'
+        '    "w"\n'
+        '  ],\n'
+        '  "basis": [\n'
+        '    {\n'
+        '      "u": "1",\n'
+        '      "v": "1",\n'
+        '      "w": "1"\n'
+        '    },\n'
+        '    {\n'
+        '      "u": "0",\n'
+        '      "v": "x - 3/2",\n'
+        '      "w": "3/2*x^2 + x"\n'
+        '    },\n'
+        '    {\n'
+        '      "u": "0",\n'
+        '      "v": "0",\n'
+        '      "w": "x^3 + x"\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'
+    )
+
+
 def test_restrict_text(capsys):
     code, out, _ = run(capsys, "restrict", TRIANGLE, "--invert", "3")
     assert code == 0

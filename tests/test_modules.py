@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -662,6 +663,7 @@ def connected_graphs(draw, ring, labels):
 
 
 def assert_three_way(g):
+    """Check direct = incremental = replayed trace; return both modules."""
     direct = solve_direct(g)
     inc, traces = incremental_assembled(g)
     assert inc == direct
@@ -670,6 +672,7 @@ def assert_three_way(g):
             assert replay_trace(g, t) == t.steps[-1].matrix_after
     for s in direct.basis:
         assert gkm_check(g, s)
+    return direct, inc
 
 
 @settings(max_examples=60, deadline=None)
@@ -902,4 +905,22 @@ def test_three_way_agreement_on_qx_k8():
         (vs[a], vs[b], FactoredElement((make_factor(linear(r), QX),)))
         for (a, b), r in zip(pairs, roots)
     ]
-    assert_three_way(normalize(QX, vs, edges))
+    # The pivots are monic products of the labels x - r, so their
+    # coefficients are integral and stored as ints; the entries above them
+    # carry genuine rationals, never a Fraction with denominator 1.
+    for module in assert_three_way(normalize(QX, vs, edges)):
+        for row, col in zip(module.rows, module.pivots):
+            assert {type(c) for _, c in row[col].terms} == {int}
+            for p in row:
+                assert all(type(c) is int or c.denominator > 1 for _, c in p.terms)
+
+
+def test_qx_basis_keeps_rational_coefficients():
+    edges = [("u", "v", "2*x-3"), ("v", "w", "x^2+1"), ("u", "w", "x")]
+    g = normalize(QX, ["u", "v", "w"], [
+        (a, b, FactoredElement((make_factor(parse_element(t, QX), QX),))) for a, b, t in edges
+    ])
+    for module in assert_three_way(g):
+        coefficients = [c for row in module.rows for p in row for _, c in p.terms]
+        assert {type(c) for c in coefficients} == {int, Fraction}
+        assert any(type(c) is Fraction and c == Fraction(3, 2) for c in coefficients)

@@ -25,7 +25,14 @@ from gsplines import (
     parse_element,
     trivializes,
 )
-from gsplines.rings import _monic_cubic_has_integer_root, _poly_irreducible_low_degree, poly_divmod
+from gsplines.rings import (
+    _monic_cubic_has_integer_root,
+    _poly_irreducible_low_degree,
+    canonical_key,
+    format_poly,
+    poly_divmod,
+    rational_quotient,
+)
 from conftest import QX, QXY, ZZ, int_label
 
 
@@ -186,8 +193,9 @@ def poly_pairs(draw, univariate=False):
 
 
 def assert_canonical(p):
-    """``p`` is what the validating constructor makes of its own terms."""
-    assert all(type(c) is Fraction for _, c in p.terms)
+    """``p`` is what the validating constructor makes of its own terms, and
+    every coefficient is an ``int`` or a ``Fraction`` with denominator > 1."""
+    assert all(type(c) is int or type(c) is Fraction and c.denominator > 1 for _, c in p.terms)
     assert repr(p) == repr(Poly(p.nvars, dict(p.terms)))
 
 
@@ -260,6 +268,37 @@ def test_poly_hash_is_cached_and_agrees_with_rebuilt(pair):
         assert fresh._hash == first  # kept on first use
         assert hash(fresh) == first == hash(rebuilt) == hash(p) == hash(p)
         assert {p: 1}[rebuilt] == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(polys))
+def test_canonical_key_and_format_spell_coefficients_as_fractions(p):
+    """Factor order and text do not depend on integral coefficients being
+    stored as ints."""
+    as_fractions = tuple((e, Fraction(c)) for e, c in p.terms)
+    assert canonical_key(p) == (p.degree, 0, repr(as_fractions))
+    assert format_poly(p, "xy") == format_poly(Poly._of(p.nvars, as_fractions), "xy")
+
+
+def test_integral_coefficients_are_ints():
+    assert Poly(1, {(1,): Fraction(6, 2)}).terms == (((1,), 3),)
+    assert repr(qx("x-3")) == "Poly(1, [((1,), 1), ((0,), -3)])"
+    assert type(Poly.const(1, Fraction(6, 2)).constant_value()) is int
+    assert type((qx("1/2*x + 1/3") * 6).leading()[1]) is int
+    assert rational_quotient(6, -3) == -2 and type(rational_quotient(6, -3)) is int
+    assert rational_quotient(3, 6) == Fraction(1, 2)
+    assert type(rational_quotient(Fraction(3, 2), Fraction(1, 2))) is int
+
+
+def test_float_coefficients_are_rejected():
+    with pytest.raises(TypeError):
+        Poly(1, {(1,): 0.1})
+    with pytest.raises(TypeError):
+        Poly(1, [((0,), 1), ((1,), 2.0)])
+    with pytest.raises(TypeError):
+        Poly.const(1, 0.5)
+    with pytest.raises(TypeError):
+        qx("x") * 0.5
 
 
 # --- associates -------------------------------------------------------------
