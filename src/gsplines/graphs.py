@@ -131,29 +131,38 @@ def normalize(
     return EdgeLabeledGraph(ring, vertices, tuple(out))
 
 
+def _partition(vertices: Sequence[str], pairs: Iterable[Tuple[str, str]]):
+    """Connected classes of the relation generated by ``pairs``; classes are
+    ordered by first vertex, members in declaration order."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    # A class is created when its first vertex is met, so the dict keeps
+    # the classes in order of their first vertex.
+    classes: Dict[str, List[str]] = {}
+    for v in vertices:
+        classes.setdefault(find(v), []).append(v)
+    return tuple(tuple(c) for c in classes.values())
+
+
 def connected_components(g: EdgeLabeledGraph) -> List[EdgeLabeledGraph]:
-    """Split into components; vertices and edges keep declaration order."""
-    adj = g.adjacency()
-    seen: Dict[str, int] = {}
-    comp = 0
-    for v in g.vertices:
-        if v in seen:
-            continue
-        stack = [v]
-        seen[v] = comp
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen[w] = comp
-                    stack.append(w)
-        comp += 1
-    out = []
-    for c in range(comp):
-        vs = tuple(v for v in g.vertices if seen[v] == c)
-        es = tuple(e for e in g.edges if seen[e.a] == c)
-        out.append(EdgeLabeledGraph(g.ring, vs, es))
-    return out
+    """Split into components, ordered by first vertex; vertices and edges
+    keep declaration order."""
+    classes = _partition(g.vertices, [(e.a, e.b) for e in g.edges])
+    which = {v: i for i, c in enumerate(classes) for v in c}
+    edges: List[List[Edge]] = [[] for _ in classes]
+    for e in g.edges:
+        edges[which[e.a]].append(e)
+    return [EdgeLabeledGraph(g.ring, c, tuple(es)) for c, es in zip(classes, edges)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ with ``n_e = edge_modulus(label)``, a divisor of ``n`` (``_edge_generator``),
 and each residue its representative in ``[0, n)``.  It leaves in one place,
 ``_canonical``: the integer rows, completed by ``n`` times each coordinate
 vector, are put in Hermite form and reduced modulo ``n``.  Every other step
-is the same on every ring.
+is the same on every ring: the Hermite core and ``membership`` compute with
+``+ - * divmod`` (and ``//``, ``%``) on ints and univariate ``Poly``s alike,
+and read the ring only for units (``unit_part`` and the gcds and
+associates built on it) and for its zero and one.
 
 Bases are kept in flow-up (Hermite) form with respect to a fixed vertex
 order: row ``i`` vanishes on the vertices before its pivot, pivots are
@@ -55,16 +58,14 @@ from .rings import (
     Residue,
     RingDescriptor,
     RingElement,
-    _extended_gcd_int,
+    _extended_gcd,
     coerce,
     edge_modulus,
     exact_divide,
-    extended_gcd,
     format_element,
     is_unit,
     is_zero_element,
     normalized_associate,
-    poly_divmod,
     rational_quotient,
     unit_part,
 )
@@ -202,8 +203,8 @@ def gkm_check(g: EdgeLabeledGraph, s: Spline) -> bool:
     for e in g.edges:
         d = _lift_value(s.values[e.a], ring) - _lift_value(s.values[e.b], ring)
         gen = _edge_generator(e.label, ring)
-        if is_zero_element(gen):
-            if not is_zero_element(d):
+        if not gen:
+            if d:
                 return False
         elif exact_divide(d, gen, work) is None:
             return False
@@ -211,7 +212,8 @@ def gkm_check(g: EdgeLabeledGraph, s: Spline) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Hermite machinery over the Euclidean rings (Int, univariate PolyQ)
+# Hermite machinery over the Euclidean rings (Int, univariate PolyQ), on
+# their shared operators
 
 
 def _require_euclidean_ring(ring: RingDescriptor, op: str) -> None:
@@ -223,19 +225,6 @@ def _require_euclidean_ring(ring: RingDescriptor, op: str) -> None:
         "bases are out of scope here - use the certificate tools for "
         "freeness verdicts over several variables"
     )
-
-
-def _divmod_reduce(a: RingElement, p: RingElement, ring: RingDescriptor):
-    """``(q, r)`` with ``a = q*p + r``; ``r`` is zero exactly when ``p``
-    divides ``a``.
-
-    For a normalized (positive / monic) ``p``, such as a pivot, ``r`` is
-    canonically reduced: integers land in ``[0, p)`` and polynomials in
-    degrees below ``deg p``.
-    """
-    if ring.kind == INT:
-        return divmod(a, p)
-    return poly_divmod(a, p)
 
 
 def _minus_multiple(row: Vector, q: RingElement, by: Vector) -> Vector:
@@ -260,17 +249,12 @@ def _row_combine(r1: Vector, r2: Vector, ring: RingDescriptor, col: int):
     with ``u*a + v*b = g``.
     """
     for kept, other in ((r2, r1), (r1, r2)):
-        q, rem = _divmod_reduce(other[col], kept[col], ring)
+        q, rem = divmod(other[col], kept[col])
         if not rem:
             return kept, _minus_multiple(other, q, kept)
     a, b = r1[col], r2[col]
-    if ring.kind == INT:
-        g, u, v = _extended_gcd_int(a, b)
-        ca, cb = a // g, b // g
-    else:
-        g, u, v = extended_gcd(a, b, ring)
-        ca = exact_divide(a, g, ring)
-        cb = exact_divide(b, g, ring)
+    g, u, v = _extended_gcd(a, b, ring)
+    ca, cb = a // g, b // g
     new1 = tuple(u * x + v * y for x, y in zip(r1, r2))
     new2 = tuple(cb * x - ca * y for x, y in zip(r1, r2))
     return new1, new2
@@ -278,8 +262,8 @@ def _row_combine(r1: Vector, r2: Vector, ring: RingDescriptor, col: int):
 
 def _normalize_row(row: Vector, col: int, ring: RingDescriptor) -> Vector:
     u = unit_part(row[col], ring)
-    if ring.kind == INT:
-        return row if u == 1 else tuple(-x for x in row)
+    if u == 1:
+        return row
     inv = rational_quotient(1, u)
     return tuple(x * inv for x in row)
 
@@ -329,7 +313,7 @@ def hermite_rows(
         # Reduce the entries above this pivot into canonical range.
         for i, prev in enumerate(fixed):
             if prev[col]:
-                q, _ = _divmod_reduce(prev[col], acc[col], ring)
+                q = prev[col] // acc[col]
                 if q:
                     fixed[i] = _minus_multiple(prev, q, acc)
         fixed.append(acc)
@@ -540,9 +524,7 @@ def _step(
             matrix = tuple(row + (row[ia],) for row in rows)
         else:
             p = normalized_associate(gen, work)
-            matrix = tuple(
-                row + (_divmod_reduce(row[ia], p, work)[1],) for row in rows
-            ) + ((zero,) * len(built) + (p,),)
+            matrix = tuple(row + (row[ia] % p,) for row in rows) + ((zero,) * len(built) + (p,),)
         return LeafPullback(new, attach, label, after, matrix)
     raise DisconnectedInput(f"edge {a!r}-{b!r} does not touch the component built so far")
 
@@ -757,8 +739,8 @@ def localize_module(module: SplineModule, invert) -> SplineModule:
 def _strip_inverted(x: RingElement, ring: RingDescriptor) -> RingElement:
     for f in ring.inverted:
         while True:
-            q = exact_divide(x, f.element, ring)
-            if q is None:
+            q, r = divmod(x, f.element)
+            if r:
                 break
             x = q
     return x
@@ -767,7 +749,7 @@ def _strip_inverted(x: RingElement, ring: RingDescriptor) -> RingElement:
 def _gcd_content(values, ring: RingDescriptor) -> Optional[RingElement]:
     acc = None
     for x in values:
-        if is_zero_element(x):
+        if not x:
             continue
         acc = x if acc is None else ring_gcd(acc, x, ring)
     return acc
@@ -796,19 +778,15 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
     denominator = ring.one()
     for row, p in zip(rows, module.pivots):
         a = residual[p]
-        if is_zero_element(a):
+        if not a:
             num_den.append((ring.zero(), ring.one()))
             continue
         den_raw = denominator * row[p]
         gcd_val = ring_gcd(a, den_raw, ring)
-        num = exact_divide(a, gcd_val, ring)
-        den = exact_divide(den_raw, gcd_val, ring)
-        u = unit_part(den, ring)
+        num = a // gcd_val
+        den = den_raw // gcd_val
+        num = num * rational_quotient(1, unit_part(den, ring))
         den = normalized_associate(den, ring)
-        if ring.kind == INT:
-            num = num * u
-        else:
-            num = num * rational_quotient(1, u)
         num_den.append((num, den))
         residual = [
             x * den - num * denominator * y for x, y in zip(residual, row)
@@ -816,11 +794,8 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
         denominator = denominator * den
         content = _gcd_content(residual + [denominator], ring)
         if content is not None and not is_unit(content, ring):
-            residual = [
-                x if is_zero_element(x) else exact_divide(x, content, ring)
-                for x in residual
-            ]
-            denominator = exact_divide(denominator, content, ring)
+            residual = [x // content for x in residual]
+            denominator = denominator // content
     if any(not is_zero_element(coerce(x, g.ring)) for x in residual):
         return MembershipResult(False)
     coefficients = []
@@ -829,7 +804,7 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
         if not is_unit(stripped, ring):
             return MembershipResult(False)
         if is_unit(den, ring):
-            num, den = exact_divide(num, den, ring), ring.one()
+            num, den = num // den, ring.one()
         coefficients.append((coerce(num, g.ring), coerce(den, g.ring)))
     return MembershipResult(True, tuple(coefficients))
 

@@ -19,6 +19,11 @@ Canonical forms used throughout:
   makes a coefficient goes through ``rational_quotient``, which never lets
   two ints meet ``/``.  Float coefficients are rejected.
 
+Univariate polynomials divide with remainder through ``divmod``, ``//``
+and ``%``, as ints do, so the Euclidean algorithms (``gcd``,
+``extended_gcd``, ``exact_divide``) and the Hermite core of ``modules``
+run one loop for ``Int`` and ``Q[x]``.
+
 All values are immutable and all functions are pure, so concurrent use
 needs no coordination.
 """
@@ -98,6 +103,10 @@ class Poly:
     ``==`` and ``hash`` decide equality of polynomials; the hash is computed
     on first use and kept in ``_hash``, and the sort key of
     ``canonical_key`` likewise in ``_key``.
+
+    ``divmod``, ``//`` and ``%`` are ``poly_divmod``, with an ``int`` or
+    ``Fraction`` operand taken as a constant; like ``poly_divmod`` they need
+    the two operands to use one variable between them.
     """
 
     __slots__ = ("nvars", "terms", "_hash", "_key")
@@ -236,6 +245,18 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __divmod__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else poly_divmod(self, other)
+
+    def __floordiv__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else poly_divmod(self, other)[0]
+
+    def __mod__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else poly_divmod(self, other)[1]
+
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial powers are not supported")
@@ -338,7 +359,8 @@ def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
     """Univariate division with remainder; ``deg r < deg b``.
 
     Runs on the dense coefficient lists of the one variable the operands
-    use and builds the quotient and the remainder once, at the end.
+    use and builds the quotient and the remainder once, at the end; a
+    dividend of lower degree than ``b`` is returned as the remainder itself.
     """
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
@@ -350,6 +372,8 @@ def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
         if len(used) > 1:
             raise UnsupportedRing("division with remainder needs univariate operands")
         var = used.pop() if used else 0
+    if a.degree < b.degree:
+        return Poly._of(a.nvars, ()), a
     r = _dense(a, var)
     bc = _dense(b, var)
     db = len(bc) - 1
@@ -559,49 +583,30 @@ def gcd(a: RingElement, b: RingElement, ring: RingDescriptor) -> RingElement:
     b = coerce(b, ring)
     if ring.kind == INT:
         return math.gcd(a, b)
-    while not b.is_zero:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
+    while b:
+        a, b = b, a % b
     return normalized_associate(a, ring)
 
 
-def _extended_gcd_int(a: int, b: int) -> Tuple[int, int, int]:
-    """``extended_gcd`` over ``Int`` for operands already known to be ints."""
+def _extended_gcd(a: RingElement, b: RingElement, ring: RingDescriptor):
+    """``extended_gcd`` for operands already in the Euclidean ``ring``."""
     old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
+    old_u, u = ring.one(), ring.zero()
+    old_v, v = ring.zero(), ring.one()
     while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
+        q, rem = divmod(old_r, r)
+        old_r, r = r, rem
         old_u, u = u, old_u - q * u
         old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
+    c = rational_quotient(1, unit_part(old_r, ring))
+    return old_r * c, old_u * c, old_v * c
 
 
 def extended_gcd(a: RingElement, b: RingElement, ring: RingDescriptor):
     """``(g, u, v)`` with ``u*a + v*b = g`` and ``g`` normalized; operands
     as for ``gcd``."""
     _require_euclidean(ring, "extended gcd")
-    a = coerce(a, ring)
-    b = coerce(b, ring)
-    if ring.kind == INT:
-        return _extended_gcd_int(a, b)
-    one = Poly.const(ring.nvars, 1)
-    zero = Poly.const(ring.nvars, 0)
-    old_r, r = a, b
-    old_u, u = one, zero
-    old_v, v = zero, one
-    while not r.is_zero:
-        q, rem = poly_divmod(old_r, r)
-        old_r, r = r, rem
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r.is_zero:
-        return old_r, old_u, old_v
-    c = rational_quotient(1, old_r.leading()[1])
-    return old_r._scaled(c), old_u._scaled(c), old_v._scaled(c)
+    return _extended_gcd(coerce(a, ring), coerce(b, ring), ring)
 
 
 def exact_divide(a: RingElement, b: RingElement, ring: RingDescriptor) -> Optional[RingElement]:
@@ -610,9 +615,6 @@ def exact_divide(a: RingElement, b: RingElement, ring: RingDescriptor) -> Option
     b = coerce(b, ring)
     if is_zero_element(b):
         raise ZeroDivisionError("exact division by zero")
-    if ring.kind == INT:
-        q, r = divmod(a, b)
-        return q if r == 0 else None
     if ring.kind == MODINT:
         n = ring.modulus
         g = math.gcd(b.value, n)
@@ -620,9 +622,9 @@ def exact_divide(a: RingElement, b: RingElement, ring: RingDescriptor) -> Option
             return None
         q = (a.value // g) * pow(b.value // g, -1, n // g) % (n // g)
         return Residue(q, n)
-    if ring.nvars == 1:
-        q, r = poly_divmod(a, b)
-        return None if r.terms else q
+    if ring.kind == INT or ring.nvars == 1:
+        q, r = divmod(a, b)
+        return None if r else q
     # Multivariate exact division by iterated leading-term elimination
     # under the graded-lexicographic order; the quotient's terms come out
     # in descending order.

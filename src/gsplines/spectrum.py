@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import UnrelatedGraphs
-from .graphs import EdgeLabeledGraph, contract_edge, delete_edge, delete_vertex, restrict
+from .graphs import EdgeLabeledGraph, _partition, contract_edge, delete_edge, delete_vertex, restrict
 from .rings import (
     Factor,
     RingDescriptor,
@@ -67,29 +67,6 @@ class BaseChangeCheck:
 
     def __bool__(self) -> bool:
         return self.commutes
-
-
-def _partition(vertices: Sequence[str], pairs: Iterable[Tuple[str, str]]):
-    """Connected classes of the relation generated by ``pairs``; classes are
-    ordered by first vertex, members in declaration order."""
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    # A class is created when its first vertex is met, so the dict keeps
-    # the classes in order of their first vertex.
-    classes: Dict[str, List[str]] = {}
-    for v in vertices:
-        classes.setdefault(find(v), []).append(v)
-    return tuple(tuple(c) for c in classes.values())
 
 
 def fiber_over(g: EdgeLabeledGraph, p: Union[Factor, RingElement]):

@@ -138,6 +138,37 @@ def test_connected_components(triangle):
     assert connected_components(empty) == []
 
 
+def test_connected_components_keep_declaration_order():
+    g = int_graph(
+        ["a", "b", "c", "d", "e", "f"],
+        [("d", "f", 3), ("b", "e", 5), ("a", "d", 7), ("c", "b", 0)],
+    )
+    comps = connected_components(g)
+    assert [c.vertices for c in comps] == [("a", "d", "f"), ("b", "c", "e")]
+    assert [[(e.a, e.b) for e in c.edges] for c in comps] == [
+        [("a", "d"), ("d", "f")],
+        [("b", "c"), ("b", "e")],
+    ]
+    rng = random.Random(29)
+    for _ in range(30):
+        vs = [f"v{i}" for i in range(rng.randrange(1, 8))]
+        pairs = [tuple(rng.sample(vs, 2)) for _ in range(rng.randrange(0, 6))] if len(vs) > 1 else []
+        g = int_graph(vs, [(a, b, 3) for a, b in pairs])
+        # Oracle: grow each vertex's class to its closure under the edges.
+        reach = {v: {v} for v in vs}
+        for _ in vs:
+            for e in g.edges:
+                reach[e.a] = reach[e.b] = reach[e.a] | reach[e.b]
+        firsts = [v for v in vs if min(reach[v], key=vs.index) == v]
+        comps = connected_components(g)
+        assert [c.vertices for c in comps] == [
+            tuple(v for v in vs if v in reach[f]) for f in firsts
+        ]
+        assert [c.edges for c in comps] == [
+            tuple(e for e in g.edges if e.a in reach[f]) for f in firsts
+        ]
+
+
 # --- restriction --------------------------------------------------------------
 
 

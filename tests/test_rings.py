@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -107,6 +108,20 @@ def test_extended_gcd_random_polynomials():
         assert g == gcd(a, b, QX)
 
 
+def test_extended_gcd_keeps_ring_types():
+    # A zero operand ends the Euclidean loop at once; the results are still
+    # ring elements, not the scalars that normalize them.
+    two_x_minus_two = qx("2*x-2")
+    assert extended_gcd(two_x_minus_two, 0, QX) == (qx("x-1"), Poly.const(1, Fraction(1, 2)), qx("0"))
+    assert extended_gcd(0, two_x_minus_two, QX) == (qx("x-1"), qx("0"), Poly.const(1, Fraction(1, 2)))
+    for a, b in ((two_x_minus_two, 0), (0, two_x_minus_two), (0, 0), (qx("x"), qx("x+1"))):
+        assert all(type(t) is Poly for t in extended_gcd(a, b, QX))
+    assert extended_gcd(-4, 0, ZZ) == (4, -1, 0)
+    assert extended_gcd(0, -4, ZZ) == (4, 0, -1)
+    assert extended_gcd(0, 0, ZZ) == (0, 1, 0)
+    assert all(type(t) is int for t in extended_gcd(-4, 6, ZZ))
+
+
 # --- exact division ---------------------------------------------------------
 
 
@@ -168,6 +183,38 @@ def test_poly_divmod_needs_one_variable_across_both_operands():
         poly_divmod(qxy("x*y"), qxy("x"))
     assert poly_divmod(qxy("y^2+1"), qxy("y-2")) == (qxy("y+2"), qxy("5"))
     assert poly_divmod(qxy("3"), qxy("2")) == (qxy("3/2"), qxy("0"))
+
+
+def test_poly_divmod_returns_a_lower_degree_dividend_itself():
+    low, high = qx("3*x+1"), qx("x^2-2")
+    q, r = divmod(low, high)
+    assert q.is_zero and q.nvars == 1
+    assert r is low
+    q, r = poly_divmod(qxy("y+1"), qxy("y^2"))
+    assert q.is_zero and r == qxy("y+1")
+    # The one-variable check still comes first.
+    with pytest.raises(UnsupportedRing):
+        poly_divmod(qxy("x"), qxy("y^2"))
+
+
+def test_division_operators_coerce_scalars_and_check_operands():
+    p = qx("3*x^2+x-1")
+    half = Poly.const(1, Fraction(1, 2))
+    assert divmod(p, 2) == poly_divmod(p, qx("2")) == (p * half, qx("0"))
+    assert p // Fraction(1, 2) == p * 2
+    assert p % qx("x") == qx("-1")
+    assert p // qx("x") == qx("3*x+1")
+    for op in (divmod, operator.floordiv, operator.mod):
+        with pytest.raises(ZeroDivisionError):
+            op(p, 0)
+        with pytest.raises(ZeroDivisionError):
+            op(p, qx("0"))
+        with pytest.raises(UnsupportedRing):
+            op(qxy("x"), qxy("y"))
+        with pytest.raises(UnsupportedRing):
+            op(qxy("x*y"), qxy("x"))
+        with pytest.raises(TypeError):
+            op(p, 0.5)
 
 
 SYMBOLS = sympy.symbols("x y")
@@ -243,6 +290,18 @@ def test_poly_divmod_invariants_and_sympy(pair):
     exact = exact_divide(a * b, b, RingDescriptor.rational_polynomials(*"xy"[: a.nvars]))
     assert exact == a
     assert_canonical(exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs(univariate=True))
+def test_division_operators_agree_with_poly_divmod(pair):
+    a, b = pair
+    if b.is_zero:
+        return
+    q, r = poly_divmod(a, b)
+    assert divmod(a, b) == (q, r)
+    assert a // b == q
+    assert a % b == r
 
 
 @settings(max_examples=100, deadline=None)
