@@ -4,13 +4,15 @@ Graphs are simple after normalization: self-loops are dropped (the
 congruence they impose is vacuous), parallel edges are merged into a single
 edge generating the intersection of the two principal ideals, and edges
 whose label is the unit ideal are dropped.  Every operation returns a new
-graph; nothing is mutated.
+graph; nothing is mutated.  A graph only stores, on first use, the edge
+generators its fields determine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import MixedRings, NoSuchEdge, NoSuchVertex, UnknownVertex, UnsupportedRing
@@ -21,6 +23,7 @@ from .rings import (
     FactoredElement,
     RingDescriptor,
     RingElement,
+    _edge_generator,
     check_element,
     edge_modulus,
     factored_from_residue,
@@ -39,9 +42,25 @@ class Edge:
 
 @dataclass(frozen=True)
 class EdgeLabeledGraph:
+    """A ring, declared vertices and normalized edges.
+
+    ``edge_generators`` is derived from the fields on first use and kept on
+    the graph, as ``Poly`` keeps its hash.  It is not a field, so it stays
+    out of ``==``, ``hash`` and ``repr``, and a graph built from another
+    (``restrict``, ``reduce_mod``, ``contract_edge``, ...) derives its own.
+    The value is a pure function of the fields, so two threads that compute
+    it at once store equal tuples and the graph stays immutable in effect.
+    """
+
     ring: RingDescriptor
     vertices: Tuple[str, ...]
     edges: Tuple[Edge, ...]
+
+    @cached_property
+    def edge_generators(self) -> Tuple[RingElement, ...]:
+        """Each edge's ideal generator in the ring the solvers compute in
+        (``rings._edge_generator``), in ``edges`` order."""
+        return tuple(_edge_generator(e.label, self.ring) for e in self.edges)
 
     def index(self, v: str) -> int:
         try:

@@ -12,16 +12,22 @@ all splines is computed three independent ways:
   (``enumerate_bruteforce`` as ``Spline``s).
 
 The solvers compute over a Euclidean ring: ``Int``, univariate ``Q[x]``,
-or ``Int`` for the residue ring ``Z/n``.  A residue ring enters through the
-lift helpers below: each edge becomes the integer congruence ``n_e | d``
-with ``n_e = edge_modulus(label)``, a divisor of ``n`` (``_edge_generator``),
-and each residue its representative in ``[0, n)``.  It leaves in one place,
-``_canonical``: the integer rows, completed by ``n`` times each coordinate
-vector, are put in Hermite form and reduced modulo ``n``.  Every other step
-is the same on every ring: the Hermite core and ``membership`` compute with
-``+ - * divmod`` (and ``//``, ``%``) on ints and univariate ``Poly``s alike,
-and read the ring only for units (``unit_part`` and the gcds and
-associates built on it) and for its zero and one.
+or ``Int`` for the residue ring ``Z/n``.  Each edge enters as its generator
+in that work ring, from one helper, ``rings._edge_generator``: the label
+without its inverted factors, expanded, or over ``Z/n`` the integer modulus
+``edge_modulus(label)``, a divisor of ``n``; a zero label gives zero.  A
+graph keeps these, in edge order, as ``edge_generators``, derived on first
+use, so the direct solver, ``bruteforce_values`` and every ``gkm_check`` on
+one graph expand each label once; ``_step`` calls the helper on the step's
+own label, so a replayed trace checks the label it records.  A residue
+value enters as its representative in ``[0, n)``, and a residue ring leaves
+in one place, ``_canonical``: the integer rows, completed by ``n`` times
+each coordinate vector, are put in Hermite form and reduced modulo ``n``.
+Every other step is the same on every ring: the Hermite core and
+``membership`` compute with ``+ - * divmod`` (and ``//``, ``%``) on ints
+and univariate ``Poly``s alike, and read the ring only for units
+(``unit_part`` and the gcds and associates built on it) and for its zero
+and one.
 
 Bases are kept in flow-up (Hermite) form with respect to a fixed vertex
 order: row ``i`` vanishes on the vertices before its pivot, pivots are
@@ -58,9 +64,9 @@ from .rings import (
     Residue,
     RingDescriptor,
     RingElement,
+    _edge_generator,
     _extended_gcd,
     coerce,
-    edge_modulus,
     exact_divide,
     format_element,
     is_unit,
@@ -178,33 +184,33 @@ def _lift_rows(rows: Sequence[Vector], ring: RingDescriptor) -> Sequence[Vector]
     return [tuple(x.value for x in row) for row in rows]
 
 
-def _edge_generator(label: FactoredElement, ring: RingDescriptor) -> RingElement:
-    """The edge ideal's generator in ``work_ring(ring)``.
-
-    Inverted factors are stripped (they are units).  A nonzero residue
-    label becomes the integer modulus it imposes; a zero label stays zero
-    (equality), which is the same congruence once ``_canonical`` adjoins
-    ``n`` times each coordinate vector, and for ``gkm_check``, whose lifted
-    values lie in ``[0, n)``.
-    """
-    if label.is_zero:
-        return work_ring(ring).zero()
-    if ring.kind == MODINT:
-        return edge_modulus(label, ring)
-    if ring.inverted:
-        label = label.without(ring.inverted_elements())
-    return label.expand(ring)
-
-
 def gkm_check(g: EdgeLabeledGraph, s: Spline) -> bool:
-    """Whether the labeling satisfies every edge congruence."""
-    ring = g.ring
+    """Whether the labeling satisfies every edge congruence.
+
+    The generators are the graph's stored ``edge_generators``.  Each
+    endpoint value is lifted once, when the first edge that reaches it is
+    checked, so values at isolated vertices and past the first broken
+    congruence are never read.  Over a Euclidean work ring the test is the
+    Hermite core's ``d % gen``; over several variables it is
+    ``exact_divide``.
+    """
+    ring, values = g.ring, s.values
     work = work_ring(ring)
-    for e in g.edges:
-        d = _lift_value(s.values[e.a], ring) - _lift_value(s.values[e.b], ring)
-        gen = _edge_generator(e.label, ring)
+    euclidean = work.kind == INT or work.nvars == 1
+    lifted: Dict[str, RingElement] = {}
+    for e, gen in zip(g.edges, g.edge_generators):
+        a = lifted.get(e.a)
+        if a is None:
+            a = lifted[e.a] = _lift_value(values[e.a], ring)
+        b = lifted.get(e.b)
+        if b is None:
+            b = lifted[e.b] = _lift_value(values[e.b], ring)
+        d = a - b
         if not gen:
             if d:
+                return False
+        elif euclidean:
+            if d % gen:
                 return False
         elif exact_divide(d, gen, work) is None:
             return False
@@ -399,7 +405,7 @@ def _component_rows(comp: EdgeLabeledGraph, order: Sequence[str]) -> Tuple[Vecto
     one, zero = ring.one(), ring.zero()
     identity = [tuple(one if j == i else zero for j in range(nV)) for i in range(nV)]
     constraints = [
-        (col_of[e.a], col_of[e.b], _edge_generator(e.label, comp.ring)) for e in comp.edges
+        (col_of[e.a], col_of[e.b], gen) for e, gen in zip(comp.edges, comp.edge_generators)
     ]
     return _impose(identity, nV, constraints, ring)
 
@@ -616,10 +622,11 @@ def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
     residue ring passing the congruence check.
 
     A search along ``g.vertices``: prefixes of values grow one vertex at a
-    time, and each edge congruence ``edge_modulus(label) | x_i - x_j`` is
-    checked at its later endpoint, as soon as both values exist, so a
-    prefix that already breaks one is never extended.  Edges of modulus 1
-    impose nothing and are skipped.  Values are tried in increasing order,
+    time, and each edge congruence ``m | x_i - x_j`` is checked at its later
+    endpoint, as soon as both values exist, so a prefix that already breaks
+    one is never extended.  The modulus is ``m = gen or n`` for the edge's
+    stored generator (``edge_modulus``); edges of modulus 1 impose nothing
+    and are skipped.  Values are tried in increasing order,
     so the output is in lexicographic order of the value tuples, exactly
     the order of the full ``n^|V|`` product.  The search reads only the
     edges: neither pivots nor any Hermite structure, and no solver.
@@ -635,9 +642,9 @@ def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
     index = {v: i for i, v in enumerate(g.vertices)}
     # checks[k]: the (earlier vertex, modulus) pairs checked at vertex k.
     checks: List[List[Tuple[int, int]]] = [[] for _ in range(nv)]
-    for e in g.edges:
+    for e, gen in zip(g.edges, g.edge_generators):
         i, j = sorted((index[e.a], index[e.b]))
-        m = edge_modulus(e.label, g.ring)
+        m = gen or n
         if i != j and m != 1:
             checks[j].append((i, m))
     prefixes: List[Tuple[int, ...]] = [()]

@@ -928,6 +928,25 @@ def edge_modulus(label: FactoredElement, ring: RingDescriptor) -> int:
     return math.gcd(label.expand(ring).value, n) or n
 
 
+def _edge_generator(label: FactoredElement, ring: RingDescriptor) -> RingElement:
+    """The edge ideal's generator in the ring the solvers compute in:
+    ``Int`` for ``Z/n``, ``ring`` itself otherwise.
+
+    Inverted factors are stripped (they are units).  A nonzero residue
+    label becomes the integer modulus it imposes, ``edge_modulus``; a zero
+    label stays zero (equality), which is the same congruence once the
+    solvers adjoin ``n`` times each coordinate vector, and for values
+    lifted to ``[0, n)``.  So ``gen or n`` is the residue edge's modulus.
+    """
+    if label.is_zero:
+        return 0 if ring.kind == MODINT else ring.zero()
+    if ring.kind == MODINT:
+        return edge_modulus(label, ring)
+    if ring.inverted:
+        label = label.without(ring.inverted_elements())
+    return label.expand(ring)
+
+
 def trivializes(label: FactoredElement, ring: RingDescriptor) -> bool:
     """Whether the ideal becomes the unit ideal in ``ring``'s localization.
 

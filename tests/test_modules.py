@@ -41,13 +41,12 @@ from gsplines import (
 )
 from gsplines.modules import (
     _build_incremental,
-    _edge_generator,
     _impose,
     _step,
     hermite_rows,
     work_ring,
 )
-from gsplines.rings import factored_from_residue
+from gsplines.rings import _edge_generator, factored_from_residue
 from conftest import QX, ZZ, int_graph, int_label
 from hermite_reference import reference_hermite_rows, reference_impose
 
