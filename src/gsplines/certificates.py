@@ -17,7 +17,7 @@ Inconclusive rather than a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import UnsupportedRing
 from .graphs import EdgeLabeledGraph, RestrictionOutcome, restrict
@@ -26,6 +26,7 @@ from .rings import (
     MODINT,
     POLYQ,
     Factor,
+    FactoredElement,
     RingDescriptor,
     RingElement,
     canonical_key,
@@ -72,13 +73,6 @@ class CertificateReport:
     notes: Tuple[str, ...]
 
 
-def _product(elements: Iterable[RingElement], ring: RingDescriptor) -> RingElement:
-    out = ring.one()
-    for e in elements:
-        out = out * e
-    return out
-
-
 def _common_factor(opens: Sequence[BasicOpen]) -> Optional[RingElement]:
     """A factor associate-present in every open's inverted list, if any."""
     common = None
@@ -121,7 +115,7 @@ def check_cover(ring: RingDescriptor, opens: Sequence[BasicOpen]) -> CoverStatus
             )
     g = ring.zero()
     for o in opens:
-        g = gcd(g, _product((f.element ** f.multiplicity for f in o.invert), ring), ring)
+        g = gcd(g, FactoredElement(o.invert).expand(ring), ring)
         if is_unit(g, ring):
             return CoverStatus(COVERS, detail="unit gcd of the defining products")
     return CoverStatus(FAILS_TO_COVER, g, detail=format_element(g, ring))

@@ -753,21 +753,21 @@ def _strip_inverted(x: RingElement, ring: RingDescriptor) -> RingElement:
     return x
 
 
-def _gcd_content(values, ring: RingDescriptor) -> Optional[RingElement]:
-    acc = None
-    for x in values:
-        if not x:
-            continue
-        acc = x if acc is None else ring_gcd(acc, x, ring)
-    return acc
-
-
 def membership(module: SplineModule, s: Spline) -> MembershipResult:
-    """Back-substitute along the triangular basis.
+    """Back-substitute along the triangular basis, deciding at each pivot.
 
     Over a localized ring the coefficients may carry denominators built
     from inverted factors; otherwise denominators must be units.  The
     returned coefficients recombine exactly to ``s``.
+
+    The residual is kept as ``residual / denominator``.  Each row's
+    coefficient is that fraction's pivot entry over the pivot, fixed
+    uniquely by the rows before it: one ``divmod`` finds it when it is
+    integral, and otherwise one gcd reduces it, with a normalized
+    denominator.  A denominator that is not a product of inverted factors
+    ends the test at once.  No content is divided out of the residual: a
+    coefficient is a reduced fraction, which a common content of the
+    residual and the denominator cannot change.
 
     The substitution runs over the work ring.  The lifted rows of a residue
     module are the integer Hermite rows ``_canonical`` kept; the rows it
@@ -778,41 +778,31 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
     g = module.graph
     ring = work_ring(g.ring)
     _require_euclidean_ring(ring, "membership testing")
-    order = module.vertex_order
+    one = ring.one()
     rows = _lift_rows(module.rows, g.ring)
-    num_den: List[Tuple[RingElement, RingElement]] = []
-    residual = [_lift_value(s.values[v], g.ring) for v in order]
-    denominator = ring.one()
+    residual = [_lift_value(s.values[v], g.ring) for v in module.vertex_order]
+    denominator = one
+    coefficients = []
     for row, p in zip(rows, module.pivots):
         a = residual[p]
-        if not a:
-            num_den.append((ring.zero(), ring.one()))
-            continue
-        den_raw = denominator * row[p]
-        gcd_val = ring_gcd(a, den_raw, ring)
-        num = a // gcd_val
-        den = den_raw // gcd_val
-        num = num * rational_quotient(1, unit_part(den, ring))
-        den = normalized_associate(den, ring)
-        num_den.append((num, den))
-        residual = [
-            x * den - num * denominator * y for x, y in zip(residual, row)
-        ]
+        den = denominator * row[p]
+        num, r = divmod(a, den)
+        if r:
+            c = ring_gcd(a, den, ring)
+            num, den = a // c, den // c
+            num = num * rational_quotient(1, unit_part(den, ring))
+            den = normalized_associate(den, ring)
+            if not is_unit(_strip_inverted(den, ring), ring):
+                return MembershipResult(False)
+            residual = [x * den for x in residual]
+        else:
+            den = one
+        if num:
+            residual = _minus_multiple(residual, num * denominator, row)
         denominator = denominator * den
-        content = _gcd_content(residual + [denominator], ring)
-        if content is not None and not is_unit(content, ring):
-            residual = [x // content for x in residual]
-            denominator = denominator // content
+        coefficients.append((coerce(num, g.ring), coerce(den, g.ring)))
     if any(not is_zero_element(coerce(x, g.ring)) for x in residual):
         return MembershipResult(False)
-    coefficients = []
-    for num, den in num_den:
-        stripped = _strip_inverted(den, ring)
-        if not is_unit(stripped, ring):
-            return MembershipResult(False)
-        if is_unit(den, ring):
-            num, den = num // den, ring.one()
-        coefficients.append((coerce(num, g.ring), coerce(den, g.ring)))
     return MembershipResult(True, tuple(coefficients))
 
 

@@ -507,26 +507,21 @@ def is_zero_element(x: RingElement) -> bool:
 
 
 def is_unit(x: RingElement, ring: RingDescriptor) -> bool:
-    """Unit test in the *base* ring (inverted factors are not consulted)."""
+    """Unit test in the *base* ring (inverted factors are not consulted);
+    ``ring`` is ``Int`` or a polynomial ring."""
     if ring.kind == INT:
         return x in (1, -1)
-    if ring.kind == MODINT:
-        return math.gcd(x.value, ring.modulus) == 1
     return (not x.is_zero) and x.is_constant
 
 
 def unit_part(x: RingElement, ring: RingDescriptor):
-    """The unit ``u`` with ``x = u * normalized_associate(x)``; 1 for zero."""
+    """The unit ``u`` with ``x = u * normalized_associate(x)``; 1 for zero.
+    ``ring`` is ``Int`` or a polynomial ring."""
     if is_zero_element(x):
         return 1 if ring.kind != POLYQ else Fraction(1)
     if ring.kind == INT:
         return 1 if x > 0 else -1
-    if ring.kind == POLYQ:
-        return Fraction(x.leading()[1])
-    # Residues: u with x = u * gcd(x, n); pick the canonical solution.
-    g = math.gcd(x.value, ring.modulus)
-    q = exact_divide(x, Residue(g, ring.modulus), ring)
-    return q
+    return Fraction(x.leading()[1])
 
 
 def normalized_associate(x: RingElement, ring: RingDescriptor) -> RingElement:

@@ -30,12 +30,14 @@ from gsplines import (
     flow_up_normalize,
     gkm_check,
     incremental_assembled,
+    localize_module,
     make_factor,
     membership,
     normalize,
     parse_element,
     reduce_mod,
     replay_trace,
+    restrict,
     solve_direct,
     spline_set,
 )
@@ -49,6 +51,7 @@ from gsplines.modules import (
 from gsplines.rings import _edge_generator, factored_from_residue
 from conftest import QX, ZZ, int_graph, int_label
 from hermite_reference import reference_hermite_rows, reference_impose
+from membership_reference import reference_membership
 
 
 def spl(g, *values):
@@ -320,6 +323,22 @@ def test_membership_with_inverted_denominators():
     res = membership(localized, s)
     assert res.member
     assert res.coefficients == ((0, 1), (1, 2))
+
+
+def test_membership_with_inverted_polynomial_denominators():
+    x = parse_element("x", QX)
+    g = normalize(QX, ["u", "v"], [("u", "v", FactoredElement((
+        make_factor(x - 1, QX), make_factor(x - 2, QX))))])
+    m = solve_direct(g)  # rows (1,1), (0,(x-1)(x-2))
+    # (0,x-2) = 1/(x-1) * (0,(x-1)(x-2)) once x-1 is inverted.
+    s = Spline(g, {"u": QX.zero(), "v": x - 2})
+    assert not membership(m, s).member
+    localized = localize_module(m, [make_factor(x - 1, QX)])
+    res = membership(localized, s)
+    assert res.member
+    assert res.coefficients == ((QX.zero(), QX.one()), (QX.one(), x - 1))
+    # (0,1) would need the denominator (x-1)(x-2), and x-2 is not inverted.
+    assert not membership(localized, Spline(g, {"u": QX.zero(), "v": QX.one()})).member
 
 
 def test_membership_modint():
@@ -808,6 +827,70 @@ def test_impose_matches_kernel_reference(case):
     ring, width, rows, constraints = case
     expected = reference_impose(rows, width, constraints, ring)
     assert _impose(rows, width, constraints, ring) == expected
+
+
+# --- membership against the plain reference ------------------------------------------
+
+INVERTIBLE = {"Int": ("2", "3", "5"), "PolyQ": QX_FACTORS}
+
+
+def _combination(coeffs, rows, zero):
+    out = [zero] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+@st.composite
+def membership_cases(draw):
+    """A module and a labeling to test against it.
+
+    The module is a basis over Int, Q[x] or Z/n, or over Int or Q[x] the
+    same basis localized at one or two factors of its labels.  The labeling
+    combines the rows of that basis or, over Int and Q[x], the rows of the
+    module restricted at those factors, whose coefficients need the
+    inverted denominators; one value may then be moved by one, which
+    mostly makes a non-member.  Over Z/n it may also be a random
+    labeling."""
+    kind = draw(st.sampled_from(["Int", "PolyQ", "ModInt"]))
+    if kind == "ModInt":
+        g = draw(residue_graphs())
+        m = solve_direct(g)
+        n = g.ring.modulus
+        rows = [[x.value for x in row] for row in m.rows]
+        coeffs = draw(st.lists(st.integers(0, n - 1), min_size=len(rows), max_size=len(rows)))
+        values = _combination(coeffs, rows, 0)
+        if draw(st.booleans()):
+            values = draw(st.lists(st.integers(0, n - 1), min_size=len(values), max_size=len(values)))
+        return m, Spline(g, {v: Residue(x % n, n) for v, x in zip(m.vertex_order, values)})
+    ring, labels = (ZZ, int_labels()) if kind == "Int" else (QX, qx_labels())
+    g = draw(connected_graphs(ring, labels))
+    m = solve_direct(g)
+    # Invert factors of the labels, or of the ring when every label is zero.
+    present = {f.element: f for e in g.edges for f in e.label.factors}
+    invert = [make_factor(parse_element(t, ring), ring) for t in INVERTIBLE[kind]]
+    invert = draw(st.lists(st.sampled_from(list(present.values()) or invert),
+                           min_size=1, max_size=2, unique_by=lambda f: f.element))
+    rows = m.rows
+    if draw(st.booleans()):
+        rows = solve_direct(restrict(g, invert).graph, m.vertex_order).rows
+    if draw(st.booleans()):
+        m = localize_module(m, invert)
+    entry = st.one_of(st.integers(-3, 3), ring_entries(ring))
+    coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    values = _combination(coeffs, rows, ring.zero())
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] = values[i] + ring.one()
+    return m, Spline(g, dict(zip(m.vertex_order, values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_cases())
+def test_membership_matches_reference(case):
+    m, s = case
+    res, ref = membership(m, s), reference_membership(m, s)
+    assert repr((res.member, res.coefficients)) == repr((ref.member, ref.coefficients))
 
 
 # --- closed forms and the cost cliffs of the Hermite pass -------------------------
