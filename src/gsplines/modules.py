@@ -2,14 +2,18 @@
 
 A spline assigns a ring element to every vertex so that across each edge
 the difference of endpoint values lies in the edge's ideal.  The module of
-all splines is computed three independent ways:
+all splines is computed three ways:
 
-* ``solve_direct`` imposes every edge congruence of a component on its
-  coordinate vectors at once,
 * ``incremental_assembled`` grows each component's module edge by edge,
   extending by a new leaf vertex or imposing one further congruence,
+* ``solve_direct`` runs the same build's leaf pullbacks along a spanning
+  tree and imposes the other edges, the chords, at once,
 * ``bruteforce_values`` lists every labeling over a residue ring
   (``enumerate_bruteforce`` as ``Spline``s).
+
+The solvers differ only in imposing the chords together or one at a time;
+brute force, and the tests' plain references (every edge imposed on the
+coordinate vectors), keep the checks independent.
 
 The solvers compute over a Euclidean ring: ``Int``, univariate ``Q[x]``,
 or ``Int`` for the residue ring ``Z/n``.  Each edge enters as its generator
@@ -17,12 +21,12 @@ in that work ring, from one helper, ``rings._edge_generator``: the label
 without its inverted factors, expanded, or over ``Z/n`` the integer modulus
 ``edge_modulus(label)``, a divisor of ``n``; a zero label gives zero.  A
 graph keeps these, in edge order, as ``edge_generators``, derived on first
-use, so the direct solver, ``bruteforce_values`` and every ``gkm_check`` on
-one graph expand each label once; ``_step`` calls the helper on the step's
-own label, so a replayed trace checks the label it records.  A residue
-value enters as its representative in ``[0, n)``, and a residue ring leaves
-in one place, ``_canonical``: the integer rows, completed by ``n`` times
-each coordinate vector, are put in Hermite form and reduced modulo ``n``.
+use, so ``bruteforce_values`` and every ``gkm_check`` on one graph expand
+each label once; the solvers call the helper on each edge's own label, so
+a replayed trace checks the label it records.  A residue value enters as
+its representative in ``[0, n)``, and a residue ring leaves in one place,
+``_canonical``: the integer rows, completed by ``n`` times each coordinate
+vector, are put in Hermite form and reduced modulo ``n``.
 Every other step is the same on every ring: the Hermite core and
 ``membership`` compute with ``+ - * divmod`` (and ``//``, ``%``) on ints
 and univariate ``Poly``s alike, and read the ring only for units
@@ -41,9 +45,9 @@ Hermite core take whatever route costs least to reach it:
   divides the other, and uses the extended-gcd transform otherwise,
 * ``_impose`` cuts a module down by edge congruences with one
   ``hermite_rows`` pass over the rows prefixed by their endpoint
-  differences; the direct solver and the incremental edge equalizer both
-  call it; it discards the prefix pivot rows unfinished, and folds each
-  equalizer from the module's last pivot,
+  differences (all of a component's chords, or one equalizer's edge); it
+  discards the prefix pivot rows unfinished, and folds each equalizer from
+  the module's last pivot,
 * a leaf pullback in ``_step`` starts from a canonical basis, so only the
   new column needs reducing, modulo the normalized edge generator.
 """
@@ -341,8 +345,7 @@ def _impose(
     nonzero ``gen``.  A combination of these rows vanishes on the prefix
     exactly when its tail meets every congruence, so after one
     ``hermite_rows`` pass the rows whose pivot lies past the prefix span
-    the constrained module, and their tails are its canonical rows: the
-    kernel read off the Hermite form of ``[constraints | identity]``, with
+    the constrained module, and their tails are its canonical rows, with
     the prefix pivot rows discarded unfinished.  The flow-up ``rows`` enter
     last pivot first, so each row a difference column leaves over leads at
     its own pivot, not all at the first one.
@@ -396,18 +399,24 @@ def _canonical(
 # direct solver
 
 
-def _component_rows(comp: EdgeLabeledGraph, order: Sequence[str]) -> Tuple[Vector, ...]:
-    """Canonical rows of one connected component's spline module: the
-    coordinate vectors of ``order`` with every edge imposed at once."""
+def _component_rows(comp: EdgeLabeledGraph, order: Sequence[str]) -> List[Vector]:
+    """Rows of one connected component's module in ``order`` coordinates,
+    not yet canonical: a ``_step`` leaf pullback for each edge that reaches
+    a new vertex, then the other ``|E| - |V| + 1`` edges in one ``_impose``."""
     ring = work_ring(comp.ring)
-    col_of = {v: i for i, v in enumerate(order)}
-    nV = len(order)
-    one, zero = ring.one(), ring.zero()
-    identity = [tuple(one if j == i else zero for j in range(nV)) for i in range(nV)]
-    constraints = [
-        (col_of[e.a], col_of[e.b], gen) for e, gen in zip(comp.edges, comp.edge_generators)
-    ]
-    return _impose(identity, nV, constraints, ring)
+    edges = _default_insertion_order(comp)
+    built: Tuple[str, ...] = (edges[0].a if edges else comp.vertices[0],)
+    rows: Tuple[Vector, ...] = ((ring.one(),),)
+    chords = []
+    for e in edges:
+        if e.a in built and e.b in built:
+            gen = _edge_generator(e.label, comp.ring)
+            chords.append((built.index(e.a), built.index(e.b), gen))
+        else:
+            step = _step(built, rows, e.a, e.b, e.label, comp.ring)
+            built, rows = step.vertices_after, step.matrix_after
+    col = {v: i for i, v in enumerate(built)}
+    return [tuple(row[col[v]] for v in order) for row in _impose(rows, len(built), chords, ring)]
 
 
 def _check_vertex_order(g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str]]):
@@ -446,8 +455,9 @@ def solve_direct(
 ) -> SplineModule:
     """Flow-up basis of the spline module, solved per connected component.
 
-    Each component's congruences are imposed by ``_component_rows`` over
-    the work ring (the integers with edge moduli for a residue ring).
+    Each component is the incremental build's leaf pullbacks along a
+    spanning tree, then one ``_impose`` of every chord, over the work ring
+    (the integers with edge moduli for a residue ring).
     """
     order = _check_vertex_order(g, vertex_order)
     _require_euclidean_ring(work_ring(g.ring), "basis computation")
@@ -459,7 +469,8 @@ def solve_direct(
 
 
 def _default_insertion_order(g: EdgeLabeledGraph) -> List[Edge]:
-    """Earliest-declared edge that touches the already-built component."""
+    """Earliest-declared edge that touches the already-built component; the
+    edges that reach a new vertex form the direct solver's spanning tree."""
     remaining = list(g.edges)
     if not remaining:
         return []

@@ -9,6 +9,10 @@ for divisible entries.
 with a second elimination engine: column operations find the kernel of
 each congruence on the coefficient vectors (``reference_kernel_basis``),
 and the kernel's combinations of the rows are put in Hermite form.
+
+``reference_component_rows`` is the direct solver's module of a connected
+graph computed without its spanning tree: every edge congruence imposed
+with ``reference_impose`` on the coordinate vectors.
 """
 
 from gsplines.rings import INT, exact_divide, extended_gcd, is_zero_element, poly_divmod, unit_part
@@ -107,3 +111,17 @@ def reference_impose(rows, width, constraints, ring):
             combos.append(combo)
         rows, _ = reference_hermite_rows(combos, width, ring)
     return rows
+
+
+def reference_component_rows(g, order):
+    """Canonical rows, in ``order`` coordinates, of the spline module of a
+    connected graph over ``Int`` or ``Q[x]``: the identity matrix cut down
+    by every edge congruence."""
+    ring = g.ring
+    col = {v: i for i, v in enumerate(order)}
+    width = len(order)
+    identity = [
+        tuple(ring.one() if j == i else ring.zero() for j in range(width)) for i in range(width)
+    ]
+    constraints = [(col[e.a], col[e.b], gen) for e, gen in zip(g.edges, g.edge_generators)]
+    return reference_impose(identity, width, constraints, ring)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -48,9 +49,10 @@ from gsplines.modules import (
     hermite_rows,
     work_ring,
 )
-from gsplines.rings import _edge_generator, factored_from_residue
+from gsplines.rings import _edge_generator, factored_from_residue, normalized_associate
+from gsplines.rings import gcd as ring_gcd
 from conftest import QX, ZZ, int_graph, int_label
-from hermite_reference import reference_hermite_rows, reference_impose
+from hermite_reference import reference_component_rows, reference_hermite_rows, reference_impose
 from membership_reference import reference_membership
 
 
@@ -660,12 +662,15 @@ def int_labels():
     return st.sampled_from([0, 2, 3, 5, 6, 10, 12, 15]).map(int_label)
 
 
-def qx_labels():
+def qx_products():
     factor = st.sampled_from(QX_FACTORS).map(lambda t: parse_element(t, QX))
-    factored = st.dictionaries(factor, st.integers(1, 2), min_size=1, max_size=2).map(
+    return st.dictionaries(factor, st.integers(1, 2), min_size=1, max_size=2).map(
         lambda fs: FactoredElement(tuple(make_factor(f, QX, m) for f, m in fs.items()))
     )
-    return st.one_of(st.just(FactoredElement.zero()), factored)
+
+
+def qx_labels():
+    return st.one_of(st.just(FactoredElement.zero()), qx_products())
 
 
 @st.composite
@@ -829,6 +834,15 @@ def test_impose_matches_kernel_reference(case):
     assert _impose(rows, width, constraints, ring) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(connected_graphs(ZZ, int_labels()), connected_graphs(QX, qx_labels())), st.data())
+def test_direct_matches_identity_reference(g, data):
+    # The direct solver shares its tree steps with the incremental build, so
+    # direct = incremental no longer checks them; this reference does not.
+    order = data.draw(st.permutations(g.vertices))
+    assert solve_direct(g, order).rows == reference_component_rows(g, order)
+
+
 # --- membership against the plain reference ------------------------------------------
 
 INVERTIBLE = {"Int": ("2", "3", "5"), "PolyQ": QX_FACTORS}
@@ -901,17 +915,18 @@ def pivot_product(m):
 
 
 @st.composite
-def labeled_shapes(draw, cycle):
-    """``(vertices, edges, vertex_order)``: a random tree on 2-11 vertices or
-    a cycle on 3-11, integer labels 2-89 and a random vertex order."""
-    nv = draw(st.integers(3 if cycle else 2, 11))
+def labeled_shapes(draw, cycle, labels=st.integers(2, 89), max_vertices=11):
+    """``(vertices, edges, vertex_order)``: a random tree on 2 to
+    ``max_vertices`` vertices or a cycle on 3 to ``max_vertices``, labels
+    drawn from ``labels`` (integers 2-89) and a random vertex order."""
+    nv = draw(st.integers(3 if cycle else 2, max_vertices))
     vs = [f"v{i}" for i in range(nv)]
     if cycle:
         pairs = [(i, (i + 1) % nv) for i in range(nv)]
     else:
         pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, nv)]
-    labels = draw(st.lists(st.integers(2, 89), min_size=len(pairs), max_size=len(pairs)))
-    edges = [(vs[a], vs[b], n) for (a, b), n in zip(pairs, labels)]
+    drawn = draw(st.lists(labels, min_size=len(pairs), max_size=len(pairs)))
+    edges = [(vs[a], vs[b], n) for (a, b), n in zip(pairs, drawn)]
     return vs, edges, draw(st.permutations(vs))
 
 
@@ -920,6 +935,8 @@ def labeled_shapes(draw, cycle):
 def test_tree_index_is_product_of_labels(case):
     # Gilbert-Polster-Tymoczko: 1 and, per edge, its label on the side of
     # the edge away from the root form a basis, so the index is prod(l_e).
+    # These are the direct solver's own leaf pullbacks, so the cycle
+    # formulas below carry the independent index check.
     vs, edges, order = case
     m = solve_direct(int_graph(vs, edges), order)
     assert pivot_product(m) == math.prod(n for _, _, n in edges)
@@ -932,6 +949,17 @@ def test_cycle_index_is_product_over_gcd(case):
     labels = [n for _, _, n in edges]
     m = solve_direct(int_graph(vs, edges), order)
     assert pivot_product(m) == math.prod(labels) // math.gcd(*labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_shapes(cycle=True, labels=qx_products(), max_vertices=8))
+def test_qx_cycle_index_is_product_over_gcd(case):
+    vs, edges, order = case
+    g = normalize(QX, vs, edges)
+    gens = g.edge_generators
+    gcd = functools.reduce(lambda a, b: ring_gcd(a, b, QX), gens)
+    m = solve_direct(g, order)
+    assert pivot_product(m) == normalized_associate(math.prod(gens) // gcd, QX)
 
 
 PRIMES_BELOW_50 = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
@@ -967,14 +995,47 @@ def test_incremental_cycle_entries_stay_small(monkeypatch):
     assert widest and max(widest) < 64
 
 
-# Complete graphs that stay well under a second only while _impose drops its
-# prefix rows unfinished and folds from the last pivot (direct integer K16,
-# incremental Q[x] K8 took seconds otherwise).
+@pytest.mark.parametrize("vertices, edges, calls", [
+    # A triangle, a square with one diagonal, a path and an isolated vertex.
+    ("abcdefghijk", [("a", "b", 3), ("b", "c", 5), ("a", "c", 7),
+      ("d", "e", 2), ("e", "f", 3), ("f", "g", 5), ("d", "g", 7), ("d", "f", 11),
+      ("h", "i", 6), ("i", "j", 10)], [(1, 3), (2, 4), (0, 3), (0, 1)]),
+    # A tree: its leaf pullbacks are the module, and nothing is imposed.
+    ("abcdef", [("a", "b", 3), ("a", "c", 5), ("c", "d", 7), ("c", "e", 2), ("b", "f", 0)],
+     [(0, 6)]),
+])
+def test_direct_imposes_each_components_chords_at_once(monkeypatch, vertices, edges, calls):
+    from gsplines import modules
+
+    g = int_graph(list(vertices), edges)
+    seen = []
+    impose = modules._impose
+
+    def spy(rows, width, constraints, ring):
+        seen.append((len(constraints), width))
+        return impose(rows, width, constraints, ring)
+
+    monkeypatch.setattr(modules, "_impose", spy)
+    solve_direct(g)
+    assert seen == calls
+    assert seen == [(len(c.edges) - len(c.vertices) + 1, len(c.vertices))
+                    for c in connected_components(g)]
+
+
+# Graphs that stay well under a second only while _impose drops its prefix
+# rows unfinished and folds from the last pivot (direct integer K16,
+# incremental Q[x] K8 took seconds otherwise), and while the direct solver
+# imposes only the chords on a spanning tree's rows (direct integer C200 took
+# 0.3 s, and C400 over 2 s, with one prefix column per edge).
 
 
 def test_three_way_agreement_on_int_k16():
     pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
     assert_three_way(two_prime_graph(pairs, 5))
+
+
+def test_three_way_agreement_on_int_c200():
+    assert_three_way(two_prime_graph([(i, (i + 1) % 200) for i in range(200)], 5))
 
 
 def test_three_way_agreement_on_qx_k8():
