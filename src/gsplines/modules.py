@@ -11,7 +11,8 @@ all splines is computed three ways:
 * ``bruteforce_values`` lists every labeling over a residue ring
   (``enumerate_bruteforce`` as ``Spline``s).
 
-The solvers differ only in imposing the chords together or one at a time;
+The solvers are one walk, ``_grow``, that differs only in imposing the
+chords together or one at a time, and a trace replays through it too;
 brute force, and the tests' plain references (every edge imposed on the
 coordinate vectors), keep the checks independent.
 
@@ -21,12 +22,13 @@ in that work ring, from one helper, ``rings._edge_generator``: the label
 without its inverted factors, expanded, or over ``Z/n`` the integer modulus
 ``edge_modulus(label)``, a divisor of ``n``; a zero label gives zero.  A
 graph keeps these, in edge order, as ``edge_generators``, derived on first
-use, so ``bruteforce_values`` and every ``gkm_check`` on one graph expand
-each label once; the solvers call the helper on each edge's own label, so
-a replayed trace checks the label it records.  A residue value enters as
-its representative in ``[0, n)``, and a residue ring leaves in one place,
-``_canonical``: the integer rows, completed by ``n`` times each coordinate
-vector, are put in Hermite form and reduced modulo ``n``.
+use; the solvers, ``bruteforce_values`` and every ``gkm_check`` read them,
+so each label of a graph is expanded once, and ``replay_trace`` derives
+each generator from the label its trace records, so it checks that label.
+A residue value enters as its representative in ``[0, n)``, and a residue
+ring leaves in one place, ``_canonical``: the integer rows, completed by
+``n`` times each coordinate vector, are put in Hermite form and reduced
+modulo ``n``.
 Every other step is the same on every ring: the Hermite core and
 ``membership`` compute with ``+ - * divmod`` (and ``//``, ``%``) on ints
 and univariate ``Poly``s alike, and read the ring only for units
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DisconnectedInput, InternalError, TooLarge, UnsupportedRing
 from .graphs import Edge, EdgeLabeledGraph, connected_components
@@ -396,27 +398,7 @@ def _canonical(
 
 
 # ---------------------------------------------------------------------------
-# direct solver
-
-
-def _component_rows(comp: EdgeLabeledGraph, order: Sequence[str]) -> List[Vector]:
-    """Rows of one connected component's module in ``order`` coordinates,
-    not yet canonical: a ``_step`` leaf pullback for each edge that reaches
-    a new vertex, then the other ``|E| - |V| + 1`` edges in one ``_impose``."""
-    ring = work_ring(comp.ring)
-    edges = _default_insertion_order(comp)
-    built: Tuple[str, ...] = (edges[0].a if edges else comp.vertices[0],)
-    rows: Tuple[Vector, ...] = ((ring.one(),),)
-    chords = []
-    for e in edges:
-        if e.a in built and e.b in built:
-            gen = _edge_generator(e.label, comp.ring)
-            chords.append((built.index(e.a), built.index(e.b), gen))
-        else:
-            step = _step(built, rows, e.a, e.b, e.label, comp.ring)
-            built, rows = step.vertices_after, step.matrix_after
-    col = {v: i for i, v in enumerate(built)}
-    return [tuple(row[col[v]] for v in order) for row in _impose(rows, len(built), chords, ring)]
+# the diagram walk: leaf pullbacks along a spanning tree, then the chords
 
 
 def _check_vertex_order(g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str]]):
@@ -426,46 +408,6 @@ def _check_vertex_order(g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str
     if sorted(order) != sorted(g.vertices):
         raise ValueError("vertex order must be a permutation of the graph's vertices")
     return order
-
-
-def _by_component(
-    g: EdgeLabeledGraph,
-    order: Sequence[str],
-    component_rows: Callable[[EdgeLabeledGraph, Tuple[str, ...]], Iterable[Vector]],
-) -> SplineModule:
-    """The module of ``g`` assembled blockwise from each connected
-    component's rows, as ``component_rows`` gives them in the component's
-    share of ``order``; the assembled rows leave through ``_canonical``."""
-    col = {v: i for i, v in enumerate(order)}
-    zero = work_ring(g.ring).zero()
-    rows: List[Vector] = []
-    for comp in connected_components(g):
-        members = set(comp.vertices)
-        comp_order = tuple(v for v in order if v in members)
-        for vec in component_rows(comp, comp_order):
-            row = [zero] * len(order)
-            for v, x in zip(comp_order, vec):
-                row[col[v]] = x
-            rows.append(tuple(row))
-    return _canonical(g, order, rows)
-
-
-def solve_direct(
-    g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str]] = None
-) -> SplineModule:
-    """Flow-up basis of the spline module, solved per connected component.
-
-    Each component is the incremental build's leaf pullbacks along a
-    spanning tree, then one ``_impose`` of every chord, over the work ring
-    (the integers with edge moduli for a residue ring).
-    """
-    order = _check_vertex_order(g, vertex_order)
-    _require_euclidean_ring(work_ring(g.ring), "basis computation")
-    return _by_component(g, order, _component_rows)
-
-
-# ---------------------------------------------------------------------------
-# incremental construction
 
 
 def _default_insertion_order(g: EdgeLabeledGraph) -> List[Edge]:
@@ -508,31 +450,29 @@ def _as_edge_list(g: EdgeLabeledGraph, order) -> List[Edge]:
 def _step(
     built: Tuple[str, ...],
     rows: Tuple[Vector, ...],
-    a: str,
-    b: str,
-    label: FactoredElement,
+    e: Edge,
+    gen: RingElement,
     ring: RingDescriptor,
 ) -> Step:
-    """Insert the edge ``a``-``b`` into the module ``rows`` on ``built``.
+    """Insert the edge ``e`` into the module ``rows`` on ``built``.
 
-    ``rows`` is in canonical Hermite form, and so is the step's matrix.
+    ``rows`` is canonical over the work ring ``ring``, and so is the step's
+    matrix; ``gen`` is the edge's generator there, and its label is recorded.
 
     An edge to a fresh vertex extends every generator by its value at the
     attachment vertex and adjoins the generator supported on the new vertex
     alone.  Only the new column needs reducing: the old columns are already
     canonical and the adjoined row is zero on them, so each extended entry
     is reduced modulo the normalized edge generator, the adjoined row's
-    pivot.  A zero label adjoins nothing and the column is a plain copy.
+    pivot.  A zero generator adjoins nothing and the column is a plain copy.
 
     An edge between built vertices cuts ``rows`` down to the combinations
     that meet its congruence: ``_impose`` with that one constraint.
     """
-    work = work_ring(ring)
-    zero = work.zero()
-    gen = _edge_generator(label, ring)
+    a, b = e.a, e.b
     if a in built and b in built:
-        matrix = _impose(rows, len(built), [(built.index(a), built.index(b), gen)], work)
-        return EdgeEqualizer(a, b, label, built, matrix)
+        matrix = _impose(rows, len(built), [(built.index(a), built.index(b), gen)], ring)
+        return EdgeEqualizer(a, b, e.label, built, matrix)
     if a in built or b in built:
         attach, new = (a, b) if a in built else (b, a)
         ia = built.index(attach)
@@ -540,35 +480,92 @@ def _step(
         if not gen:
             matrix = tuple(row + (row[ia],) for row in rows)
         else:
-            p = normalized_associate(gen, work)
-            matrix = tuple(row + (row[ia] % p,) for row in rows) + ((zero,) * len(built) + (p,),)
-        return LeafPullback(new, attach, label, after, matrix)
+            p = normalized_associate(gen, ring)
+            matrix = tuple(row + (row[ia] % p,) for row in rows) + ((ring.zero(),) * len(built) + (p,),)
+        return LeafPullback(new, attach, e.label, after, matrix)
     raise DisconnectedInput(f"edge {a!r}-{b!r} does not touch the component built so far")
 
 
 def _grow(
-    g: EdgeLabeledGraph,
-    order: Optional[Sequence[Tuple[str, str]]],
-    vertex_order: Sequence[str],
-) -> Tuple[List[Vector], LimitTrace]:
-    """Work-ring rows of a connected graph's module in ``vertex_order``
-    coordinates, not yet canonical, and the trace that produced them."""
-    ring = work_ring(g.ring)
-    _require_euclidean_ring(ring, "the incremental builder")
-    edges = _as_edge_list(g, order)
-    if not g.vertices:
-        return [], LimitTrace(None, ())
-    start = edges[0].a if edges else g.vertices[0]
+    ring: RingDescriptor,
+    start: str,
+    edges: Sequence[Edge],
+    gens: Sequence[RingElement],
+    chords_at_once: bool,
+) -> Tuple[Tuple[str, ...], Tuple[Vector, ...], List[Step]]:
+    """Walk ``edges`` (generators ``gens`` in the work ring ``ring``) from
+    the one-vertex module on ``start``: each edge is one ``_step``, a leaf
+    pullback to a fresh vertex or an edge equalizer between built vertices.
+    With ``chords_at_once`` an edge between built vertices, a chord, is
+    not stepped, and one ``_impose`` of every chord ends the walk.  Returns
+    the built vertices, the module's canonical rows on them and the steps.
+    """
     built: Tuple[str, ...] = (start,)
     rows: Tuple[Vector, ...] = ((ring.one(),),)
     steps: List[Step] = []
-    for e in edges:
-        step = _step(built, rows, e.a, e.b, e.label, g.ring)
+    chords = []
+    for e, gen in zip(edges, gens):
+        if chords_at_once and e.a in built and e.b in built:
+            chords.append((built.index(e.a), built.index(e.b), gen))
+            continue
+        step = _step(built, rows, e, gen, ring)
         steps.append(step)
         built, rows = step.vertices_after, step.matrix_after
-    col = {v: i for i, v in enumerate(built)}
-    out = [tuple(row[col[v]] for v in vertex_order) for row in rows]
-    return out, LimitTrace(start, tuple(steps))
+    if chords_at_once:
+        rows = _impose(rows, len(built), chords, ring)
+    return built, rows, steps
+
+
+def _by_component(
+    g: EdgeLabeledGraph, order: Sequence[str], chords_at_once: bool
+) -> Tuple[SplineModule, List[LimitTrace]]:
+    """The module of ``g`` and one trace per connected component: one
+    ``_grow`` per component along its default insertion order, on generators
+    read from ``g.edge_generators`` (a component holds ``g``'s own ``Edge``
+    objects), its rows scattered from the built columns into ``order``'s.
+    The assembled rows leave through ``_canonical``."""
+    ring = work_ring(g.ring)
+    zero = ring.zero()
+    gen_of = dict(zip(map(id, g.edges), g.edge_generators))
+    col = {v: i for i, v in enumerate(order)}
+    rows: List[Vector] = []
+    traces: List[LimitTrace] = []
+    for comp in connected_components(g):
+        edges = _default_insertion_order(comp)
+        start = edges[0].a if edges else comp.vertices[0]
+        gens = [gen_of[id(e)] for e in edges]
+        built, comp_rows, steps = _grow(ring, start, edges, gens, chords_at_once)
+        cols = [col[v] for v in built]
+        for vec in comp_rows:
+            row = [zero] * len(order)
+            for c, x in zip(cols, vec):
+                row[c] = x
+            rows.append(tuple(row))
+        traces.append(LimitTrace(start, tuple(steps)))
+    return _canonical(g, order, rows), traces
+
+
+def solve_direct(
+    g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str]] = None
+) -> SplineModule:
+    """Flow-up basis of the spline module, solved per connected component.
+
+    Each component is the incremental build's leaf pullbacks along a
+    spanning tree, then one ``_impose`` of every chord, over the work ring
+    (the integers with edge moduli for a residue ring).
+    """
+    order = _check_vertex_order(g, vertex_order)
+    _require_euclidean_ring(work_ring(g.ring), "basis computation")
+    return _by_component(g, order, True)[0]
+
+
+def incremental_assembled(
+    g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str]] = None
+) -> Tuple[SplineModule, List[LimitTrace]]:
+    """Incremental build per connected component, assembled blockwise."""
+    order = _check_vertex_order(g, vertex_order)
+    _require_euclidean_ring(work_ring(g.ring), "the incremental builder")
+    return _by_component(g, order, False)
 
 
 def _build_incremental(
@@ -576,7 +573,8 @@ def _build_incremental(
     order: Optional[Sequence[Tuple[str, str]]] = None,
     vertex_order: Optional[Sequence[str]] = None,
 ) -> Tuple[SplineModule, LimitTrace]:
-    """Grow the module edge by edge and record the construction.
+    """Grow a connected graph's module edge by edge, in the insertion
+    ``order`` of its edges, and record the construction.
 
     Starting from the one-vertex module, each edge is one ``_step``: a leaf
     pullback to a fresh vertex or an edge equalizer between built vertices.
@@ -585,42 +583,40 @@ def _build_incremental(
     if len(connected_components(g)) > 1:
         raise DisconnectedInput("the incremental builder needs a connected graph")
     final_order = _check_vertex_order(g, vertex_order)
-    rows, trace = _grow(g, order, final_order)
-    return _canonical(g, final_order, rows), trace
-
-
-def incremental_assembled(
-    g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str]] = None
-) -> Tuple[SplineModule, List[LimitTrace]]:
-    """Incremental build per connected component, assembled blockwise."""
-    order = _check_vertex_order(g, vertex_order)
-    traces: List[LimitTrace] = []
-
-    def grow(comp: EdgeLabeledGraph, comp_order: Tuple[str, ...]) -> List[Vector]:
-        comp_rows, trace = _grow(comp, None, comp_order)
-        traces.append(trace)
-        return comp_rows
-
-    return _by_component(g, order, grow), traces
+    ring = work_ring(g.ring)
+    _require_euclidean_ring(ring, "the incremental builder")
+    edges = _as_edge_list(g, order)
+    if not g.vertices:
+        return _canonical(g, final_order, []), LimitTrace(None, ())
+    gen_of = dict(zip(map(id, g.edges), g.edge_generators))
+    start = edges[0].a if edges else g.vertices[0]
+    built, rows, steps = _grow(ring, start, edges, [gen_of[id(e)] for e in edges], False)
+    col = {v: i for i, v in enumerate(built)}
+    out = [tuple(row[col[v]] for v in final_order) for row in rows]
+    return _canonical(g, final_order, out), LimitTrace(start, tuple(steps))
 
 
 def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
     """Re-run the recorded steps; returns the final (normalized) matrix.
 
-    Each step is re-run by the same ``_step`` that recorded it and must
-    reproduce the recorded vertices and matrix; ``InternalError`` otherwise.
+    ``_grow`` walks the recorded edges again, each generator derived from
+    the recorded label, so a replay checks the labels as well as the
+    matrices: the walk must run and its steps equal the recorded ones;
+    ``InternalError`` otherwise.
     """
-    built: Tuple[str, ...] = (trace.start_vertex,)
-    rows: Tuple[Vector, ...] = ((work_ring(g.ring).one(),),)
-    for step in trace.steps:
-        if isinstance(step, LeafPullback):
-            ends = (step.attach_vertex, step.new_vertex)
-        else:
-            ends = (step.u, step.v)
-        redone = _step(built, rows, *ends, step.label, g.ring)
-        if redone != step:
-            raise InternalError("trace does not replay to its recorded matrices")
-        built, rows = redone.vertices_after, redone.matrix_after
+    edges = [
+        Edge(s.attach_vertex, s.new_vertex, s.label)
+        if isinstance(s, LeafPullback)
+        else Edge(s.u, s.v, s.label)
+        for s in trace.steps
+    ]
+    gens = [_edge_generator(e.label, g.ring) for e in edges]
+    try:
+        _, rows, steps = _grow(work_ring(g.ring), trace.start_vertex, edges, gens, False)
+    except DisconnectedInput:  # a recorded edge misses the vertices built
+        steps = None
+    if steps != list(trace.steps):
+        raise InternalError("trace does not replay to its recorded matrices")
     return rows
 
 

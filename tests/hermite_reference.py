@@ -10,9 +10,9 @@ with a second elimination engine: column operations find the kernel of
 each congruence on the coefficient vectors (``reference_kernel_basis``),
 and the kernel's combinations of the rows are put in Hermite form.
 
-``reference_component_rows`` is the direct solver's module of a connected
-graph computed without its spanning tree: every edge congruence imposed
-with ``reference_impose`` on the coordinate vectors.
+``reference_component_rows`` is the solvers' module of a graph, connected
+or not, computed without spanning trees or components: every edge
+congruence imposed with ``reference_impose`` on the coordinate vectors.
 """
 
 from gsplines.rings import INT, exact_divide, extended_gcd, is_zero_element, poly_divmod, unit_part
@@ -115,8 +115,8 @@ def reference_impose(rows, width, constraints, ring):
 
 def reference_component_rows(g, order):
     """Canonical rows, in ``order`` coordinates, of the spline module of a
-    connected graph over ``Int`` or ``Q[x]``: the identity matrix cut down
-    by every edge congruence."""
+    graph over ``Int`` or ``Q[x]``, connected or not: the identity matrix
+    cut down by every edge congruence."""
     ring = g.ring
     col = {v: i for i, v in enumerate(order)}
     width = len(order)

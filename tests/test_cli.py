@@ -17,6 +17,7 @@ def run(capsys, *argv):
 TRIANGLE = fixture_path("triangle.json")
 PATH = fixture_path("path.json")
 HEXCHAIN = fixture_path("hexchain.json")
+FOREST = fixture_path("forest.json")
 HEXPOLY = fixture_path("hexpoly.json")
 HEXPOLY_OPENS = fixture_path("hexpoly_opens.json")
 
@@ -50,6 +51,25 @@ def test_basis_incremental_prints_trace(capsys):
     assert "leaf-pullback: v attached to u via 3" in out
     assert "leaf-pullback: w attached to v via 5" in out
     assert out.startswith("vertex order: u v w\n[ 1 1 1 ]\n[ 0 3 3 ]\n[ 0 0 5 ]\n")
+
+
+def test_basis_forest_interleaved_order_agrees(capsys):
+    # Two components and an isolated vertex, in a vertex order that
+    # interleaves them: both solvers print the same basis, and the trace
+    # starts once per component.
+    order = "a,d,z,b,e,c,f"
+    code, direct, _ = run(capsys, "basis", FOREST, "--vertex-order", order)
+    assert code == 0
+    code, incremental, _ = run(capsys, "basis", FOREST, "--incremental", "--vertex-order", order)
+    assert code == 0
+    assert direct.startswith("vertex order: a d z b e c f\n[ 1 0 0 1 0  1  0 ]\n")
+    assert incremental.startswith(direct)
+    trace = incremental[len(direct):].splitlines()
+    assert [line for line in trace if line.startswith("start:")] == [
+        "start: a",
+        "start: d",
+        "start: z",
+    ]
 
 
 def test_basis_vertex_order_flag(capsys):

@@ -51,7 +51,7 @@ from gsplines.modules import (
 )
 from gsplines.rings import _edge_generator, factored_from_residue, normalized_associate
 from gsplines.rings import gcd as ring_gcd
-from conftest import QX, ZZ, int_graph, int_label
+from conftest import QX, QXY, ZZ, int_graph, int_label
 from hermite_reference import reference_component_rows, reference_hermite_rows, reference_impose
 from membership_reference import reference_membership
 
@@ -118,6 +118,16 @@ def test_solve_multivariate_unsupported():
     g = normalize(rq, ["u", "v"], [("u", "v", lbl)])
     with pytest.raises(UnsupportedRing):
         solve_direct(g)
+
+
+def test_both_solvers_reject_a_multivariate_ring_without_vertices():
+    # The ring is checked on entry, not per component, so a graph with no
+    # component still names the ring it cannot solve over.
+    g = normalize(QXY, [], [])
+    with pytest.raises(UnsupportedRing, match="basis computation"):
+        solve_direct(g)
+    with pytest.raises(UnsupportedRing, match="the incremental builder"):
+        incremental_assembled(g)
 
 
 def test_solve_univariate_polynomials():
@@ -496,6 +506,29 @@ def test_replay_rejects_a_tampered_matrix(triangle):
     assert not issubclass(InternalError, (ValueError, InputError, ComputationError))
 
 
+def test_replay_rejects_a_renamed_vertex():
+    # Renaming the first leaf leaves the next recorded edge touching no
+    # built vertex: the walk cannot run, and that is a broken trace too.
+    g = int_graph(["u", "v", "w"], [("u", "v", 3), ("v", "w", 5)])
+    _, trace = _build_incremental(g)
+    renamed = dataclasses.replace(trace.steps[0], new_vertex="q")
+    bad = dataclasses.replace(trace, steps=(renamed,) + trace.steps[1:])
+    with pytest.raises(InternalError):
+        replay_trace(g, bad)
+
+
+def test_replay_rejects_a_swapped_label(triangle):
+    # Replay derives each generator from the label the trace records, so a
+    # label that no longer matches its recorded matrix is caught.
+    _, trace = _build_incremental(triangle)
+    first = trace.steps[0]
+    assert first.label != int_label(11)
+    swapped = dataclasses.replace(first, label=int_label(11))
+    bad = dataclasses.replace(trace, steps=(swapped,) + trace.steps[1:])
+    with pytest.raises(InternalError):
+        replay_trace(triangle, bad)
+
+
 # --- Z/n enumerators against plain product references ---------------------------------
 
 
@@ -806,7 +839,7 @@ def test_leaf_step_is_hermite_of_extended_matrix(case, new_first):
     gen = _edge_generator(label, ring)
     extended = [row + (row[ia],) for row in rows] + [(work.zero(),) * width + (gen,)]
     expected, _ = hermite_rows(extended, width + 1, work)
-    step = _step(built, rows, *ends, label, ring)
+    step = _step(built, rows, Edge(*ends, label), gen, work)
     assert step == LeafPullback("new", built[ia], label, built + ("new",), expected)
 
 
@@ -841,6 +874,35 @@ def test_direct_matches_identity_reference(g, data):
     # direct = incremental no longer checks them; this reference does not.
     order = data.draw(st.permutations(g.vertices))
     assert solve_direct(g, order).rows == reference_component_rows(g, order)
+
+
+@st.composite
+def forests(draw, ring, labels):
+    """``(graph, vertex_order)``: two or three ``connected_graphs`` side by
+    side plus an isolated vertex, ordered by dealing the components'
+    vertices out in turn, so the order interleaves the components."""
+    parts = draw(st.lists(connected_graphs(ring, labels), min_size=2, max_size=3))
+    vertices, edges, hands = [], [], []
+    for k, part in enumerate(parts):
+        name = {v: f"c{k}{v}" for v in part.vertices}
+        vertices += name.values()
+        edges += [(name[e.a], name[e.b], e.label) for e in part.edges]
+        hands.append(draw(st.permutations(list(name.values()))))
+    order = [v for turn in itertools.zip_longest(*hands) for v in turn if v is not None]
+    order.insert(draw(st.integers(0, len(order))), "lone")
+    return normalize(ring, vertices + ["lone"], edges), order
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(forests(ZZ, int_labels()), forests(QX, qx_labels())))
+def test_disconnected_matches_identity_reference(case):
+    # Each component's rows are scattered from its built columns into the
+    # order's columns; the reference cuts the identity by every edge, so it
+    # needs no components.
+    g, order = case
+    expected = reference_component_rows(g, order)
+    assert solve_direct(g, order).rows == expected
+    assert incremental_assembled(g, order)[0].rows == expected
 
 
 # --- membership against the plain reference ------------------------------------------
