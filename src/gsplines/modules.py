@@ -67,6 +67,7 @@ from .rings import (
     MODINT,
     POLYQ,
     FactoredElement,
+    Poly,
     Residue,
     RingDescriptor,
     RingElement,
@@ -76,7 +77,6 @@ from .rings import (
     exact_divide,
     format_element,
     is_unit,
-    is_zero_element,
     normalized_associate,
     rational_quotient,
     unit_part,
@@ -177,7 +177,19 @@ def work_ring(ring: RingDescriptor) -> RingDescriptor:
 
 
 def _lift_value(x, ring: RingDescriptor) -> RingElement:
-    """A value of ``ring`` as an element of ``work_ring(ring)``."""
+    """A value of ``ring`` as an element of ``work_ring(ring)``.
+
+    This is where a caller's value is checked against the ring.  A value
+    whose type already is the work ring's, an exact ``int`` over ``Int`` or
+    a ``Poly`` in the ring's variables over ``Q[...]``, is returned as it
+    is; every other value goes through ``coerce``, so a value of another
+    ring raises ``MixedRings``.
+    """
+    if type(x) is int:
+        if ring.kind == INT:
+            return x
+    elif type(x) is Poly and ring.kind == POLYQ and x.nvars == ring.nvars:
+        return x
     x = coerce(x, ring)
     return x.value if isinstance(x, Residue) else x
 
@@ -776,11 +788,14 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
     coefficient is a reduced fraction, which a common content of the
     residual and the denominator cannot change.
 
-    The substitution runs over the work ring.  The lifted rows of a residue
-    module are the integer Hermite rows ``_canonical`` kept; the rows it
-    dropped are ``n`` times coordinate vectors, which only clear their own
-    column, so ``s`` is a member exactly when every pivot divides and the
-    final residual vanishes modulo ``n``.
+    The substitution runs over the work ring, on values ``_lift_value``
+    checked once as they were read; nothing is coerced inside the loop.
+    The lifted rows of a residue module are the integer Hermite rows
+    ``_canonical`` kept; the rows it dropped are ``n`` times coordinate
+    vectors, which only clear their own column, so ``s`` is a member
+    exactly when every pivot divides and the final residual vanishes
+    modulo ``n``.  Over ``Z/n`` only, the residual is reduced modulo ``n``
+    and the coefficients are mapped to residues, once, at the end.
     """
     g = module.graph
     ring = work_ring(g.ring)
@@ -807,8 +822,12 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
         if num:
             residual = _minus_multiple(residual, num * denominator, row)
         denominator = denominator * den
-        coefficients.append((coerce(num, g.ring), coerce(den, g.ring)))
-    if any(not is_zero_element(coerce(x, g.ring)) for x in residual):
+        coefficients.append((num, den))
+    if g.ring.kind == MODINT:
+        n = g.ring.modulus
+        residual = [x % n for x in residual]
+        coefficients = [(Residue(num, n), Residue(den, n)) for num, den in coefficients]
+    if any(residual):
         return MembershipResult(False)
     return MembershipResult(True, tuple(coefficients))
 

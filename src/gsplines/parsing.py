@@ -8,10 +8,15 @@ Grammar (whitespace-insensitive; adjacency never implies multiplication):
     base     := rational | identifier | '(' expr ')' | '-' base
     rational := natural ('/' natural)?
 
-A natural is a run of ASCII digits ``0-9``; any other digit character is an
-unexpected character.  Identifiers must name declared ring variables.
-Integer and residue rings use the same grammar restricted to constant
-expressions.
+A natural is a run of ASCII digits ``0-9`` of any length; any other digit
+character is an unexpected character.  Identifiers must name declared ring
+variables.  Integer and residue rings use the same grammar restricted to
+constant expressions.
+
+A text that is exactly an integer literal, ``-?[0-9]+`` with nothing
+around it, skips the grammar and becomes ``ring.from_int`` of its value,
+which is what the grammar gives for it in every ring.  Any other text, a
+padded, ``+``-signed or non-ASCII one included, takes the grammar.
 
 The parser evaluates on plain term dicts ``{exponent tuple: int |
 Fraction}``, with ``^`` by repeated squaring, and builds the one ``Poly``
@@ -32,10 +37,12 @@ from .rings import (
     Residue,
     RingDescriptor,
     RingElement,
+    _from_decimal,
     _sorted_terms,
     rational_quotient,
 )
 
+_INTEGER = re.compile(r"-?[0-9]+")
 _TOKEN = re.compile(r"(?P<NUM>[0-9]+)|(?P<IDENT>[^\W\d]\w*)|(?P<OP>[-+*^()/])|(?P<SKIP>\s+)|(?P<BAD>.)", re.S)
 
 
@@ -172,7 +179,7 @@ class _Parser:
                 expected="a natural number",
             )
         self._advance()
-        return int(tok)
+        return _from_decimal(tok)
 
     def _rational(self):
         num = self._natural()
@@ -191,8 +198,11 @@ def parse_element(text: str, ring: RingDescriptor) -> RingElement:
     """Parse ``text`` into a canonical element of ``ring``.
 
     Round trip: parsing a canonically formatted element returns that
-    element; formatting a parsed expression canonicalizes it.
+    element; formatting a parsed expression canonicalizes it.  An integer
+    literal is read directly, without the grammar.
     """
+    if _INTEGER.fullmatch(text):
+        return ring.from_int(_from_decimal(text))
     poly = _Parser(text, ring).parse()
     if ring.kind == INT or ring.kind == MODINT:
         value = poly.constant_value()

@@ -955,6 +955,34 @@ def trivializes(label: FactoredElement, ring: RingDescriptor) -> bool:
 # ---------------------------------------------------------------------------
 # formatting
 
+# Python refuses ``str(int)`` and ``int(str)`` past a process-wide digit
+# limit (4,300 by default since 3.10.7, and never under 640 while it is
+# on).  Decimal conversion splits by powers of ten, so no single call
+# crosses it, and leaves the limit, which belongs to the caller, alone.
+_DECIMAL_DIGITS = 600
+_DECIMAL_BITS = 1990  # 2**1990 < 10**600: an int this short has <= 600 digits
+
+
+def _to_decimal(n: int) -> str:
+    """``str(n)`` for an int of any size."""
+    if n.bit_length() <= _DECIMAL_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _to_decimal(-n)
+    half = n.bit_length() * 3 // 20  # about half its digits: log10(2) > 0.3
+    high, low = divmod(n, 10**half)
+    return _to_decimal(high) + _to_decimal(low).zfill(half)
+
+
+def _from_decimal(text: str) -> int:
+    """``int(text)`` for ASCII digits of any length, after an optional '-'."""
+    if len(text) <= _DECIMAL_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -_from_decimal(text[1:])
+    half = len(text) // 2
+    return _from_decimal(text[:-half]) * 10**half + _from_decimal(text[-half:])
+
 
 def format_poly(p: Poly, variables: Sequence[str]) -> str:
     if not p.terms:
@@ -962,7 +990,9 @@ def format_poly(p: Poly, variables: Sequence[str]) -> str:
     chunks = []
     for i, (exps, coeff) in enumerate(p.terms):
         num, den = coeff.numerator, coeff.denominator
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        mag = _to_decimal(abs(num))
+        if den != 1:
+            mag = f"{mag}/{_to_decimal(den)}"
         vars_part = "*".join(
             f"{v}^{e}" if e > 1 else v for v, e in zip(variables, exps) if e > 0
         )
@@ -988,11 +1018,19 @@ def format_poly(p: Poly, variables: Sequence[str]) -> str:
 
 
 def format_element(x: RingElement, ring: RingDescriptor) -> str:
+    """The canonical text of ``x``, which ``parse_element`` reads back.
+
+    An int over ``Int`` is printed as it is; any other value is checked by
+    ``coerce`` first, so a value of another ring raises ``MixedRings``.
+    Integers of any size print in full.
+    """
+    if type(x) is int and ring.kind == INT:
+        return _to_decimal(x)
     x = coerce(x, ring)
     if ring.kind == INT:
-        return str(x)
+        return _to_decimal(x)
     if ring.kind == MODINT:
-        return str(x.value)
+        return _to_decimal(x.value)
     return format_poly(x, ring.variables)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gsplines import InternalError, Residue, SplineModule
+from gsplines import InternalError, Residue, SplineModule, parse_element, solve_direct
 from gsplines import cli, formats
 from gsplines.cli import main
 from conftest import fixture_path, unrelated_pairs
@@ -20,6 +20,7 @@ HEXCHAIN = fixture_path("hexchain.json")
 FOREST = fixture_path("forest.json")
 HEXPOLY = fixture_path("hexpoly.json")
 HEXPOLY_OPENS = fixture_path("hexpoly_opens.json")
+BIGINT_CYCLE = fixture_path("bigint_cycle.json")
 
 
 def test_basis_triangle_golden(capsys):
@@ -43,6 +44,24 @@ def test_basis_json_round_trips(capsys):
         {"u": "0", "v": "3", "w": "28"},
         {"u": "0", "v": "0", "w": "35"},
     ]
+
+
+def test_basis_prints_integers_of_any_size(capsys):
+    # The 5-cycle's labels are 400th powers of primes near 10^6, so its
+    # basis has entries past 4,300 digits, where Python's str(int) and
+    # int(str) stop by default.  Both outputs print, and the JSON basis
+    # parses back to the module.
+    code, text, err = run(capsys, "basis", BIGINT_CYCLE)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "basis", BIGINT_CYCLE, "--json")
+    assert (code, err) == (0, "")
+    module = solve_direct(formats.load_graph(BIGINT_CYCLE))
+    assert text == formats.render_basis_text(module) + "\n"
+    doc = json.loads(out)
+    assert max(len(x) for row in doc["basis"] for x in row.values()) > 4300
+    ring = module.graph.ring
+    rows = tuple(tuple(parse_element(row[v], ring) for v in doc["vertexOrder"]) for row in doc["basis"])
+    assert (tuple(doc["vertexOrder"]), rows) == (module.vertex_order, module.rows)
 
 
 def test_basis_incremental_prints_trace(capsys):

@@ -19,9 +19,12 @@ from gsplines import (
     RingDescriptor,
     Spline,
     contract_edge,
+    flow_up_normalize,
+    format_element,
     gkm_check,
     incremental_assembled,
     make_factor,
+    membership,
     normalize,
     parse_element,
     reduce_mod,
@@ -181,6 +184,36 @@ def test_wrong_ring_value_at_an_endpoint_raises(ring, good, bad):
             gkm_check(g, Spline(g, values))
         with pytest.raises(MixedRings):
             reference_gkm_check(g, Spline(g, values))
+
+
+FOREIGN_VALUES = (True, Fraction(1, 2), Residue(1, 5), parse_element("x*y", QXY))
+
+
+@pytest.mark.parametrize(
+    "ring, good",
+    [(ZZ, 1), (RingDescriptor.residues(6), Residue(1, 6)), (QX, parse_element("x", QX))],
+    ids=["int", "mod6", "qx"],
+)
+@pytest.mark.parametrize("bad", FOREIGN_VALUES, ids=["bool", "fraction", "mod5", "qxy"])
+def test_foreign_value_raises_at_every_entry(ring, good, bad):
+    """A value that already has the work ring's type skips ``coerce``; no
+    value of another ring slips through with it, wherever a caller's value
+    enters or leaves."""
+    label = FactoredElement.zero()
+    g = normalize(ring, ["u", "v", "w"], [("u", "v", label), ("v", "w", label)])
+    module = solve_direct(g)
+    for at in g.vertices:
+        values = {v: good for v in g.vertices}
+        values[at] = bad
+        s = Spline(g, values)
+        with pytest.raises(MixedRings):
+            gkm_check(g, s)
+        with pytest.raises(MixedRings):
+            membership(module, s)
+        with pytest.raises(MixedRings):
+            flow_up_normalize([s], graph=g)
+    with pytest.raises(MixedRings):
+        format_element(bad, ring)
 
 
 def test_missing_endpoint_raises_key_error(triangle):

@@ -119,6 +119,23 @@ def test_format_parse_roundtrip(ring):
         assert parse_element(text, ring) == p
 
 
+def test_integers_of_any_size_round_trip():
+    # Python caps str(int) and int(str) at a process-wide digit count, 4,300
+    # by default; integers past it still format, parse and round-trip.
+    big = 10**5000
+    assert format_element(big, ZZ) == "1" + "0" * 5000
+    assert format_element(1 - big, ZZ) == "-" + "9" * 5000
+    assert parse_element("-" + "0" * 5000 + "5", ZZ) == -5
+    assert parse_element("2*" + "9" * 5000 + "+1", ZZ) == 2 * big - 1
+    odd = 7**12000 + 1
+    for ring in (ZZ, RingDescriptor.residues(odd + big), QX):
+        for k in (odd, -odd, big):
+            x = ring.from_int(k)
+            assert parse_element(format_element(x, ring), ring) == x
+    p = Poly(2, {(1, 0): Fraction(odd, 3**9000), (0, 1): Fraction(-1, odd), (0, 0): big})
+    assert parse_element(format_element(p, QXY), QXY) == p
+
+
 def test_parse_format_canonicalizes():
     text = "x*x + x^2 + 0*y"
     p = parse_element(text, QXY)
@@ -159,7 +176,29 @@ def expressions(ring):
     return st.recursive(leaves, grow, max_leaves=8)
 
 
-EXPRESSIONS = {ring: expressions(ring) for ring in (ZZ, QX, QXY)}
+Z12 = RingDescriptor.residues(12)
+EXPRESSIONS = {ring: expressions(ring) for ring in (ZZ, QX, QXY, Z12)}
+
+# Texts at the edge of the integer-literal shortcut: only ``-?[0-9]+`` with
+# nothing around it skips the grammar.  The 700-digit ones are read in
+# pieces, where a stray newline would shift every digit before it.
+LITERAL_TEXTS = (
+    "-0", "+5", "--5", " 7 ", "7\n", "٣", "-٣", "1٣", "007", "-007", "-", "1_0", "\t5",
+    "8" * 700, "-" + "9" * 700, "1" * 700 + "\n",
+)
+LITERALS = st.one_of(
+    st.integers(-(10**40), 10**40).map(str),
+    st.tuples(st.sampled_from(["", "-"]), st.integers(1, 4), st.integers(0, 10**9)).map(
+        lambda t: t[0] + "0" * t[1] + str(t[2])
+    ),
+    st.tuples(
+        st.sampled_from(["", " ", "\n"]),
+        st.sampled_from(["", "-", "+", "--", "- "]),
+        st.sampled_from(["0", "7", "42", "٣"]),
+        st.sampled_from(["", " ", "\n"]),
+    ).map("".join),
+    st.sampled_from(LITERAL_TEXTS),
+)
 
 
 @st.composite
@@ -176,16 +215,16 @@ def malformed(draw, ring):
     return text + "^" + draw(st.sampled_from(["", "y", "-1", "1/2", "(2)", "²", "x"]))
 
 
-@pytest.mark.parametrize("ring", [ZZ, QX, QXY])
+@pytest.mark.parametrize("ring", [ZZ, QX, QXY, Z12])
 def test_factor_texts_match_reference(ring):
-    for text in FACTOR_TEXTS[ring]:
+    for text in FACTOR_TEXTS.get(ring, ()) + LITERAL_TEXTS:
         assert outcome(parse_element, text, ring) == outcome(reference_parse_element, text, ring)
 
 
-@pytest.mark.parametrize("ring", [ZZ, QX, QXY])
+@pytest.mark.parametrize("ring", [ZZ, QX, QXY, Z12])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_parser_matches_reference(ring, data):
-    for strategy in (EXPRESSIONS[ring], malformed(ring)):
+    for strategy in (EXPRESSIONS[ring], malformed(ring), LITERALS):
         text = data.draw(strategy)
         assert outcome(parse_element, text, ring) == outcome(reference_parse_element, text, ring)
