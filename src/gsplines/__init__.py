@@ -8,7 +8,6 @@ certificate.  See the README for the CLI and file formats.
 
 from .errors import (
     ComputationError,
-    DisconnectedInput,
     InputError,
     InternalError,
     MixedRings,

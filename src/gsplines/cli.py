@@ -1,9 +1,10 @@
 """Command-line interface.
 
 One command per invocation; graphs come from JSON files (see ``formats``).
-Exit codes: 0 success, 1 computational failure (unsupported ring, guard
-tripped, disconnected input), 2 input errors (parse, schema, missing files,
-unknown flags), 3 internal errors (a broken invariant of the engine).
+Exit codes: 0 success, 1 computational failure (unsupported ring, size
+guard tripped, an integer beyond the factorization limits), 2 input errors
+(parse, schema, missing files, unknown flags), 3 internal errors (a broken
+invariant of the engine).
 """
 
 from __future__ import annotations

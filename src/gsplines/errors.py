@@ -28,11 +28,7 @@ class UnsupportedRing(ComputationError):
 
 
 class TooLarge(ComputationError):
-    """An enumeration guard tripped."""
-
-
-class DisconnectedInput(ComputationError):
-    """A connected graph (or a connectivity-respecting edge order) was required."""
+    """A size guard tripped."""
 
 
 class ParseError(InputError):

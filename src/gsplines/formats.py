@@ -233,13 +233,16 @@ def graph_to_json(g: EdgeLabeledGraph) -> dict:
     }
 
 
-def load_graph(path: str) -> EdgeLabeledGraph:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as err:
             raise SchemaError(f"{path} is not valid JSON: {err}") from None
-    return graph_from_json(obj)
+
+
+def load_graph(path: str) -> EdgeLabeledGraph:
+    return graph_from_json(_read_json(path))
 
 
 def render_graph_text(g: EdgeLabeledGraph) -> str:
@@ -409,12 +412,7 @@ def opens_from_json(obj: dict, ring: RingDescriptor) -> Tuple[BasicOpen, ...]:
 
 
 def load_opens(path: str, ring: RingDescriptor) -> Tuple[BasicOpen, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{path} is not valid JSON: {err}") from None
-    return opens_from_json(obj, ring)
+    return opens_from_json(_read_json(path), ring)
 
 
 def cover_to_json(cover: CoverStatus, ring: RingDescriptor) -> dict:

@@ -14,7 +14,11 @@ all splines is computed three ways:
 The solvers are one walk, ``_grow``, that differs only in imposing the
 chords together or one at a time, and a trace replays through it too;
 brute force, and the tests' plain references (every edge imposed on the
-coordinate vectors), keep the checks independent.
+coordinate vectors), keep the checks independent.  The walk has two
+entries: ``_by_component``, which walks each connected component along its
+default insertion order, and ``replay_trace``.  So an edge that touches no
+built vertex can come only from a broken trace, and raises
+``InternalError``.
 
 The solvers compute over a Euclidean ring: ``Int``, univariate ``Q[x]``,
 or ``Int`` for the residue ring ``Z/n``.  Each edge enters as its generator
@@ -60,7 +64,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import DisconnectedInput, InternalError, TooLarge, UnsupportedRing
+from .errors import InternalError, TooLarge, UnsupportedRing
 from .graphs import Edge, EdgeLabeledGraph, connected_components
 from .rings import (
     INT,
@@ -436,27 +440,9 @@ def _default_insertion_order(g: EdgeLabeledGraph) -> List[Edge]:
                 built.update((e.a, e.b))
                 ordered.append(remaining.pop(i))
                 break
-        else:  # unreachable for connected graphs
-            raise DisconnectedInput("the graph is not connected")
+        else:  # components are connected
+            raise InternalError("a component is not connected")
     return ordered
-
-
-def _as_edge_list(g: EdgeLabeledGraph, order) -> List[Edge]:
-    if order is None:
-        return _default_insertion_order(g)
-    edges = []
-    seen = set()
-    for u, v in order:
-        e = g.edge_between(u, v)
-        if e is None:
-            raise DisconnectedInput(f"insertion order names a missing edge {u!r}-{v!r}")
-        if id(e) in seen:
-            raise DisconnectedInput(f"insertion order repeats edge {u!r}-{v!r}")
-        seen.add(id(e))
-        edges.append(e)
-    if len(edges) != len(g.edges):
-        raise DisconnectedInput("insertion order must cover every edge exactly once")
-    return edges
 
 
 def _step(
@@ -479,7 +465,8 @@ def _step(
     pivot.  A zero generator adjoins nothing and the column is a plain copy.
 
     An edge between built vertices cuts ``rows`` down to the combinations
-    that meet its congruence: ``_impose`` with that one constraint.
+    that meet its congruence: ``_impose`` with that one constraint.  An edge
+    that touches no built vertex is a broken invariant: ``InternalError``.
     """
     a, b = e.a, e.b
     if a in built and b in built:
@@ -495,7 +482,7 @@ def _step(
             p = normalized_associate(gen, ring)
             matrix = tuple(row + (row[ia] % p,) for row in rows) + ((ring.zero(),) * len(built) + (p,),)
         return LeafPullback(new, attach, e.label, after, matrix)
-    raise DisconnectedInput(f"edge {a!r}-{b!r} does not touch the component built so far")
+    raise InternalError(f"edge {a!r}-{b!r} does not touch the component built so far")
 
 
 def _grow(
@@ -580,34 +567,6 @@ def incremental_assembled(
     return _by_component(g, order, False)
 
 
-def _build_incremental(
-    g: EdgeLabeledGraph,
-    order: Optional[Sequence[Tuple[str, str]]] = None,
-    vertex_order: Optional[Sequence[str]] = None,
-) -> Tuple[SplineModule, LimitTrace]:
-    """Grow a connected graph's module edge by edge, in the insertion
-    ``order`` of its edges, and record the construction.
-
-    Starting from the one-vertex module, each edge is one ``_step``: a leaf
-    pullback to a fresh vertex or an edge equalizer between built vertices.
-    Every inserted edge must touch the component built so far.
-    """
-    if len(connected_components(g)) > 1:
-        raise DisconnectedInput("the incremental builder needs a connected graph")
-    final_order = _check_vertex_order(g, vertex_order)
-    ring = work_ring(g.ring)
-    _require_euclidean_ring(ring, "the incremental builder")
-    edges = _as_edge_list(g, order)
-    if not g.vertices:
-        return _canonical(g, final_order, []), LimitTrace(None, ())
-    gen_of = dict(zip(map(id, g.edges), g.edge_generators))
-    start = edges[0].a if edges else g.vertices[0]
-    built, rows, steps = _grow(ring, start, edges, [gen_of[id(e)] for e in edges], False)
-    col = {v: i for i, v in enumerate(built)}
-    out = [tuple(row[col[v]] for v in final_order) for row in rows]
-    return _canonical(g, final_order, out), LimitTrace(start, tuple(steps))
-
-
 def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
     """Re-run the recorded steps; returns the final (normalized) matrix.
 
@@ -623,10 +582,7 @@ def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
         for s in trace.steps
     ]
     gens = [_edge_generator(e.label, g.ring) for e in edges]
-    try:
-        _, rows, steps = _grow(work_ring(g.ring), trace.start_vertex, edges, gens, False)
-    except DisconnectedInput:  # a recorded edge misses the vertices built
-        steps = None
+    _, rows, steps = _grow(work_ring(g.ring), trace.start_vertex, edges, gens, False)
     if steps != list(trace.steps):
         raise InternalError("trace does not replay to its recorded matrices")
     return rows

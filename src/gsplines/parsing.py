@@ -39,6 +39,7 @@ from .rings import (
     RingElement,
     _from_decimal,
     _sorted_terms,
+    _to_decimal,
     rational_quotient,
 )
 
@@ -207,7 +208,8 @@ def parse_element(text: str, ring: RingDescriptor) -> RingElement:
     if ring.kind == INT or ring.kind == MODINT:
         value = poly.constant_value()
         if value.denominator != 1:
-            raise ParseError(f"{value} is not an integer", 0, expected="an integer value")
+            spelled = f"{_to_decimal(value.numerator)}/{_to_decimal(value.denominator)}"
+            raise ParseError(f"{spelled} is not an integer", 0, expected="an integer value")
         if ring.kind == INT:
             return int(value)
         return Residue(int(value), ring.modulus)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Container, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import MixedRings, UnsupportedRing
+from .errors import MixedRings, TooLarge, UnsupportedRing
 
 INT = "Int"
 MODINT = "ModInt"
@@ -282,7 +282,15 @@ class Poly:
             return h
 
     def __repr__(self):
-        return f"Poly({self.nvars}, {list(self.terms)!r})"
+        return f"Poly({self.nvars}, [{', '.join(map(_term_repr, self.terms))}])"
+
+
+def _term_repr(term) -> str:
+    """``repr(term)`` for a coefficient of any size."""
+    e, c = term
+    if type(c) is int:
+        return f"({e!r}, {_to_decimal(c)})"
+    return f"({e!r}, Fraction({_to_decimal(c.numerator)}, {_to_decimal(c.denominator)}))"
 
 
 def _term_key(term):
@@ -543,8 +551,10 @@ def canonical_key(x: RingElement):
     positive ints or residues, so the element's own ``==`` and ``hash``
     decide "same factor"; sets and dicts of factors hold the elements.
     A ``Poly``'s key is computed once and kept in its ``_key`` slot.  It
-    spells every coefficient as a ``Fraction``, so that factor order does
-    not depend on which coefficients are stored as ints.
+    is the ``repr`` of the term tuple with every coefficient as a
+    ``Fraction``, so that factor order does not depend on which
+    coefficients are stored as ints; integers are spelled by
+    ``_to_decimal``, so a coefficient of any size has a key.
     """
     if isinstance(x, int):
         return (0, x, "")
@@ -553,7 +563,9 @@ def canonical_key(x: RingElement):
     try:
         return x._key
     except AttributeError:
-        key = (x.degree, 0, repr(tuple((e, Fraction(c)) for e, c in x.terms)))
+        spelled = [_term_repr((e, Fraction(c))) for e, c in x.terms]
+        tail = "," if len(spelled) == 1 else ""
+        key = (x.degree, 0, f"({', '.join(spelled)}{tail})")
         object.__setattr__(x, "_key", key)
         return key
 
@@ -653,7 +665,8 @@ _TRIAL_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (valid for ``n`` below ~3.3e24)."""
+    """Deterministic primality test for ``n`` below ~3.3e24; ``TooLarge``
+    above that bound, unless a small prime divides ``n``."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
@@ -662,7 +675,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return False
     if n >= _MR_LIMIT:
-        raise ValueError(f"primality testing is supported only below {_MR_LIMIT}")
+        raise TooLarge(f"primality testing is supported only below {_MR_LIMIT}")
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -685,7 +698,8 @@ def factor_integer(n: int) -> Tuple[Tuple[int, int], ...]:
     """Prime factorization of ``|n| >= 1`` by trial division.
 
     Residual cofactors beyond the trial bound must themselves be prime;
-    anything else is refused rather than silently mis-factored.
+    anything else is refused with ``TooLarge`` rather than silently
+    mis-factored.
     """
     n = abs(n)
     if n == 0:
@@ -709,7 +723,7 @@ def factor_integer(n: int) -> Tuple[Tuple[int, int], ...]:
         d += 2
     if n > 1:
         if not is_prime(n):
-            raise ValueError(f"cannot factor residual cofactor {n}")
+            raise TooLarge(f"cannot factor residual cofactor {n}")
         out.append((n, 1))
     return tuple(sorted(out))
 

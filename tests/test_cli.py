@@ -21,6 +21,7 @@ FOREST = fixture_path("forest.json")
 HEXPOLY = fixture_path("hexpoly.json")
 HEXPOLY_OPENS = fixture_path("hexpoly_opens.json")
 BIGINT_CYCLE = fixture_path("bigint_cycle.json")
+BIGCOEF_QX = fixture_path("bigcoef_qx.json")
 
 
 def test_basis_triangle_golden(capsys):
@@ -62,6 +63,30 @@ def test_basis_prints_integers_of_any_size(capsys):
     ring = module.graph.ring
     rows = tuple(tuple(parse_element(row[v], ring) for v in doc["vertexOrder"]) for row in doc["basis"])
     assert (tuple(doc["vertexOrder"]), rows) == (module.vertex_order, module.rows)
+
+
+def test_basis_of_a_label_with_a_coefficient_of_any_size(capsys):
+    # The label x - 11...1 (5,000 ones) has a coefficient past 4,300
+    # digits; factor order is keyed on its spelling, and the basis prints.
+    code, out, err = run(capsys, "basis", BIGCOEF_QX)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == "[ 0 x - " + "1" * 5000 + " ]"
+
+
+def test_factorization_limits_exit_1(capsys, tmp_path):
+    # (10^12+39)(10^12+61): both primes lie past trial division and their
+    # product is composite, so the engine cannot split it.  The input is
+    # well formed, so this is a computational failure, not an input error.
+    doc = {
+        "ring": {"kind": "Int"},
+        "vertices": ["u", "v"],
+        "edges": [{"ends": ["u", "v"], "label": {"factors": [["1000000000100000000002379", 1]]}}],
+    }
+    path = tmp_path / "semiprime.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "basis", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: cannot factor residual cofactor 1000000000100000000002379\n"
 
 
 def test_basis_incremental_prints_trace(capsys):

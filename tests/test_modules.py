@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gsplines import (
     ComputationError,
-    DisconnectedInput,
     Edge,
     EdgeEqualizer,
     EdgeLabeledGraph,
@@ -43,7 +42,7 @@ from gsplines import (
     spline_set,
 )
 from gsplines.modules import (
-    _build_incremental,
+    _grow,
     _impose,
     _step,
     hermite_rows,
@@ -170,19 +169,27 @@ def test_vertex_order_override(triangle):
         assert gkm_check(triangle, s)
 
 
-# --- _build_incremental --------------------------------------------------------
+# --- the incremental build and insertion orders ------------------------------
+
+
+def grown(g, start, edges):
+    """The module ``_grow`` builds from ``start`` along ``edges``, an
+    insertion order of ``g``'s edges, in flow-up form."""
+    gen_of = dict(zip(map(id, g.edges), g.edge_generators))
+    built, rows, _ = _grow(work_ring(g.ring), start, edges, [gen_of[id(e)] for e in edges], False)
+    return flow_up_normalize([Spline(g, dict(zip(built, row))) for row in rows], g.vertices, g)
 
 
 def test_incremental_path():
     g = int_graph(["u", "v", "w"], [("u", "v", 3), ("v", "w", 5)])
-    m, trace = _build_incremental(g)
+    m, (trace,) = incremental_assembled(g)
     assert m.rows == ((1, 1, 1), (0, 3, 3), (0, 0, 5))
     assert [type(s).__name__ for s in trace.steps] == ["LeafPullback", "LeafPullback"]
     assert brute_set(reduce_mod(g, 15)) == spline_set(solve_direct(reduce_mod(g, 15)))
 
 
 def test_incremental_triangle_matches_direct(triangle):
-    m, trace = _build_incremental(triangle)
+    m, (trace,) = incremental_assembled(triangle)
     assert m.rows == solve_direct(triangle).rows
     assert [type(s).__name__ for s in trace.steps] == [
         "LeafPullback",
@@ -199,30 +206,29 @@ def test_incremental_triangle_matches_direct(triangle):
 
 def test_incremental_single_edge_trace():
     g = int_graph(["u", "v"], [("u", "v", 3)])
-    m, trace = _build_incremental(g)
+    m, (trace,) = incremental_assembled(g)
     assert m.rows == ((1, 1), (0, 3))
     assert len(trace.steps) == 1 and isinstance(trace.steps[0], LeafPullback)
 
 
 def test_incremental_trace_replays(triangle):
-    m, trace = _build_incremental(triangle)
+    m, (trace,) = incremental_assembled(triangle)
     final = replay_trace(triangle, trace)
     assert final == m.rows
 
 
 def test_incremental_order_independent(triangle):
     rng = random.Random(17)
-    pairs = [(e.a, e.b) for e in triangle.edges]
-    base = _build_incremental(triangle)[0].rows
+    base = incremental_assembled(triangle)[0]
     seen_valid = 0
     for _ in range(12):
-        order = rng.sample(pairs, len(pairs))
+        order = rng.sample(triangle.edges, len(triangle.edges))
         try:
-            m, _ = _build_incremental(triangle, order)
-        except DisconnectedInput:
+            m = grown(triangle, order[0].a, order)
+        except InternalError:
             continue  # order did not grow a connected patch
         seen_valid += 1
-        assert m.rows == base
+        assert m == base
     assert seen_valid > 0
 
 
@@ -236,30 +242,30 @@ def test_incremental_order_independent_random_graphs():
             a, b = rng.sample(vs, 2)
             edges.append((a, b, rng.choice([2, 3, 5])))
         g = int_graph(vs, edges)
-        base = _build_incremental(g)[0].rows
-        pairs = [(e.a, e.b) for e in g.edges]
+        base = incremental_assembled(g)[0]
         for _ in range(6):
-            order = rng.sample(pairs, len(pairs))
+            order = rng.sample(g.edges, len(g.edges))
             try:
-                m, _ = _build_incremental(g, order)
-            except DisconnectedInput:
+                m = grown(g, order[0].a, order)
+            except InternalError:
                 continue
-            assert m.rows == base
+            assert m == base
 
 
 def test_incremental_rejects_detached_order():
+    # An edge that touches no built vertex breaks the walk's invariant; the
+    # solvers never produce one, so only a broken trace could.
     g = int_graph(
         ["a", "b", "c", "d"],
         [("a", "b", 3), ("b", "c", 5), ("c", "d", 7)],
     )
-    with pytest.raises(DisconnectedInput):
-        _build_incremental(g, [("a", "b"), ("c", "d"), ("b", "c")])
+    ab, bc, cd = (g.edge_between(*pair) for pair in (("a", "b"), ("b", "c"), ("c", "d")))
+    with pytest.raises(InternalError):
+        grown(g, "a", [ab, cd, bc])
 
 
 def test_incremental_disconnected_input():
     g = int_graph(["a", "b", "c", "d"], [("a", "b", 3), ("c", "d", 5)])
-    with pytest.raises(DisconnectedInput):
-        _build_incremental(g)
     m, traces = incremental_assembled(g)
     assert m.rows == solve_direct(g).rows
     assert len(traces) == 2
@@ -480,7 +486,7 @@ def test_residue_membership_coefficients_recombine():
 
 def test_residue_replay_returns_recorded_matrix():
     g = z12_triangle()
-    m, trace = _build_incremental(g)
+    m, (trace,) = incremental_assembled(g)
     assert [type(s) for s in trace.steps] == [LeafPullback, LeafPullback, EdgeEqualizer]
     assert replay_trace(g, trace) == trace.steps[-1].matrix_after
     assert [x.value for x in m.rows[1]] == [0, 6, 6]
@@ -496,7 +502,7 @@ def test_residue_flow_up_reduces_modulo_n():
 
 
 def test_replay_rejects_a_tampered_matrix(triangle):
-    _, trace = _build_incremental(triangle)
+    _, (trace,) = incremental_assembled(triangle)
     last = trace.steps[-1]
     bad_row = (last.matrix_after[-1][0] + 1,) + last.matrix_after[-1][1:]
     tampered = dataclasses.replace(last, matrix_after=last.matrix_after[:-1] + (bad_row,))
@@ -510,7 +516,7 @@ def test_replay_rejects_a_renamed_vertex():
     # Renaming the first leaf leaves the next recorded edge touching no
     # built vertex: the walk cannot run, and that is a broken trace too.
     g = int_graph(["u", "v", "w"], [("u", "v", 3), ("v", "w", 5)])
-    _, trace = _build_incremental(g)
+    _, (trace,) = incremental_assembled(g)
     renamed = dataclasses.replace(trace.steps[0], new_vertex="q")
     bad = dataclasses.replace(trace, steps=(renamed,) + trace.steps[1:])
     with pytest.raises(InternalError):
@@ -520,7 +526,7 @@ def test_replay_rejects_a_renamed_vertex():
 def test_replay_rejects_a_swapped_label(triangle):
     # Replay derives each generator from the label the trace records, so a
     # label that no longer matches its recorded matrix is caught.
-    _, trace = _build_incremental(triangle)
+    _, (trace,) = incremental_assembled(triangle)
     first = trace.steps[0]
     assert first.label != int_label(11)
     swapped = dataclasses.replace(first, label=int_label(11))
@@ -741,6 +747,42 @@ def test_int_three_way_agreement_property(g):
 @given(connected_graphs(QX, qx_labels()))
 def test_qx_three_way_agreement_property(g):
     assert_three_way(g)
+
+
+@st.composite
+def connected_orders(draw, g):
+    """A start vertex and an insertion order of ``g``'s edges in which each
+    edge touches the vertices built before it."""
+    remaining = list(g.edges)
+    if not remaining:
+        return g.vertices[0], []
+    first = remaining.pop(draw(st.integers(0, len(remaining) - 1)))
+    order, built = [first], {first.a, first.b}
+    while remaining:
+        touching = [i for i, e in enumerate(remaining) if e.a in built or e.b in built]
+        e = remaining.pop(draw(st.sampled_from(touching)))
+        built.update((e.a, e.b))
+        order.append(e)
+    return draw(st.sampled_from([first.a, first.b])), order
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        connected_graphs(ZZ, int_labels()),
+        connected_graphs(QX, qx_labels()),
+        # A label that is a unit mod n drops its edge, so keep connected images.
+        st.builds(reduce_mod, connected_graphs(ZZ, int_labels()), st.integers(2, 30)).filter(
+            lambda g: len(connected_components(g)) == 1
+        ),
+    ),
+    st.data(),
+)
+def test_insertion_order_does_not_matter(g, data):
+    """The module is the limit of the edge diagram, so every connected
+    insertion order grows the module ``solve_direct`` finds."""
+    start, edges = data.draw(connected_orders(g))
+    assert grown(g, start, edges) == solve_direct(g)
 
 
 # --- the Hermite core against the plain reference ------------------------------------

@@ -134,6 +134,13 @@ def test_integers_of_any_size_round_trip():
             assert parse_element(format_element(x, ring), ring) == x
     p = Poly(2, {(1, 0): Fraction(odd, 3**9000), (0, 1): Fraction(-1, odd), (0, 0): big})
     assert parse_element(format_element(p, QXY), QXY) == p
+    # A fraction that is no integer is refused as a parse error, with its
+    # value spelled out at any size.
+    with pytest.raises(ParseError) as err:
+        parse_element("1" + "0" * 5000 + "/3", ZZ)
+    assert str(err.value) == (
+        "1" + "0" * 5000 + "/3 is not an integer at position 0 (expected an integer value)"
+    )
 
 
 def test_parse_format_canonicalizes():

@@ -13,6 +13,7 @@ from gsplines import (
     Poly,
     Residue,
     RingDescriptor,
+    TooLarge,
     UnsupportedRing,
     exact_divide,
     extended_gcd,
@@ -336,7 +337,23 @@ def test_canonical_key_and_format_spell_coefficients_as_fractions(p):
     stored as ints."""
     as_fractions = tuple((e, Fraction(c)) for e, c in p.terms)
     assert canonical_key(p) == (p.degree, 0, repr(as_fractions))
+    assert repr(p) == f"Poly({p.nvars}, {list(p.terms)!r})"
     assert format_poly(p, "xy") == format_poly(Poly._of(p.nvars, as_fractions), "xy")
+
+
+def test_canonical_key_and_repr_spell_coefficients_of_any_size():
+    # Python's repr(int) stops at 4,300 digits by default.
+    big = 10**5000 + 1
+    p = Poly(1, {(1,): 1, (0,): Fraction(-big, 3)})
+    big_text = "1" + "0" * 4999 + "1"
+    assert canonical_key(p) == (
+        1,
+        0,
+        f"(((1,), Fraction(1, 1)), ((0,), Fraction(-{big_text}, 3)))",
+    )
+    assert repr(p) == f"Poly(1, [((1,), 1), ((0,), Fraction(-{big_text}, 3))])"
+    assert canonical_key(Poly(1, {(0,): big}))[2] == f"(((0,), Fraction({big_text}, 1)),)"
+    assert repr(Poly(1, {(0,): -big})) == f"Poly(1, [((0,), -{big_text})])"
 
 
 def test_integral_coefficients_are_ints():
@@ -447,6 +464,12 @@ def test_is_prime_and_factor_integer():
     assert factor_integer(97) == ((97, 1),)
     with pytest.raises(ValueError):
         factor_integer(0)
+    # Past the engine's limits: a composite cofactor beyond trial division,
+    # and a primality question beyond the deterministic bases' bound.
+    with pytest.raises(TooLarge, match="cannot factor residual cofactor"):
+        factor_integer((10**12 + 39) * (10**12 + 61))
+    with pytest.raises(TooLarge, match="primality testing is supported only below"):
+        is_prime(10**25 + 13)
 
 
 def test_factored_element_invariants():
