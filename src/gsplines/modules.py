@@ -500,16 +500,19 @@ def _grow(
     the built vertices, the module's canonical rows on them and the steps.
     """
     built: Tuple[str, ...] = (start,)
+    column = {start: 0}  # built vertex -> its column
     rows: Tuple[Vector, ...] = ((ring.one(),),)
     steps: List[Step] = []
     chords = []
     for e, gen in zip(edges, gens):
-        if chords_at_once and e.a in built and e.b in built:
-            chords.append((built.index(e.a), built.index(e.b), gen))
+        if chords_at_once and e.a in column and e.b in column:
+            chords.append((column[e.a], column[e.b], gen))
             continue
         step = _step(built, rows, e, gen, ring)
         steps.append(step)
         built, rows = step.vertices_after, step.matrix_after
+        if isinstance(step, LeafPullback):
+            column[step.new_vertex] = len(built) - 1
     if chords_at_once:
         rows = _impose(rows, len(built), chords, ring)
     return built, rows, steps

@@ -11,18 +11,21 @@ Canonical forms used throughout:
 * integers keep their sign; the normalized associate is the absolute value,
 * residues are stored in ``[0, n)``; the normalized associate of a nonzero
   residue ``a`` is ``gcd(a, n)`` (the canonical generator of the ideal),
-* polynomials are stored as sorted sparse term lists under the graded
+* polynomials are sparse term lists, sorted under the graded
   lexicographic order induced by the declared variable order; the
   normalized associate is the monic scalar multiple.  A coefficient is an
   ``int`` when it is integral and a ``Fraction`` with denominator > 1
-  otherwise, so integral arithmetic runs on ints; every division that
-  makes a coefficient goes through ``rational_quotient``, which never lets
-  two ints meet ``/``.  Float coefficients are rejected.
+  otherwise, and every division that makes a coefficient goes through
+  ``rational_quotient``, which never lets two ints meet ``/``.  Float
+  coefficients are rejected.  A univariate polynomial computes on one
+  integer vector and one denominator instead, ``(numerators, den)`` with
+  ``den > 0`` and ``gcd(den, *numerators) == 1``, and derives its terms
+  from them when they are read.
 
 Univariate polynomials divide with remainder through ``divmod``, ``//``
-and ``%``, as ints do, so the Euclidean algorithms (``gcd``,
-``extended_gcd``, ``exact_divide``) and the Hermite core of ``modules``
-run one loop for ``Int`` and ``Q[x]``.
+and ``%``, as ints do, by integer pseudo-division, so the Euclidean
+algorithms (``gcd``, ``extended_gcd``, ``exact_divide``) and the Hermite
+core of ``modules`` run one loop for ``Int`` and ``Q[x]``.
 
 All values are immutable and all functions are pure, so concurrent use
 needs no coordination.
@@ -34,6 +37,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Container, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import MixedRings, TooLarge, UnsupportedRing
@@ -94,22 +98,36 @@ class Poly:
     vector a tuple of ``nvars`` non-negative ints, every coefficient nonzero
     and either an ``int`` or a ``Fraction`` with denominator > 1 (never a
     ``Fraction`` with denominator 1); the zero polynomial is the empty
-    tuple.  ``int`` and ``Fraction`` compare and hash alike, so integral
-    arithmetic runs on ints without changing ``==`` or ``hash``; ``repr``
+    tuple.  ``int`` and ``Fraction`` compare and hash alike; ``repr``
     prints integral coefficients as ints.  The constructor validates and
     canonicalizes arbitrary input and rejects ``float`` coefficients.
-    Arithmetic results are canonical by construction and go through
-    ``Poly._of``, which stores a term tuple as given.  Canonical terms make
-    ``==`` and ``hash`` decide equality of polynomials; the hash is computed
-    on first use and kept in ``_hash``, and the sort key of
+    Multivariate arithmetic results are canonical by construction and go
+    through ``Poly._of``, which stores a term tuple as given.  Canonical
+    terms make ``==`` and ``hash`` decide equality of polynomials; the hash
+    is computed on first use and kept in ``_hash``, and the sort key of
     ``canonical_key`` likewise in ``_key``.
+
+    A univariate polynomial (``nvars == 1``) computes on a second canonical
+    form instead, the pair ``(numerators, den)`` kept in ``_vec``:
+    ``numerators`` is a tuple of ints, lowest degree first, with no trailing
+    zero (empty for zero), and ``den`` is an int > 0 with
+    ``gcd(den, *numerators) == 1`` (1 for zero), so the polynomial is
+    ``sum(numerators[d] * x**d) / den`` and each polynomial has one pair.
+    ``+``, ``-``, ``*``, negation, scaling, ``leading``, ``degree``,
+    ``is_constant``, truth and ``==`` run on the pair, on ints only, and
+    each result is made canonical by one ``math.gcd`` (``_canonical_vector``)
+    and built by ``_univariate``.  A univariate polynomial built from terms
+    (the constructor, the parser, ``Poly._of``) derives its pair at once.
+    ``terms`` stays the public view: an arithmetic result derives it on
+    first read and keeps it in ``_terms``.  ``hash`` is the hash of
+    ``terms`` for every polynomial.
 
     ``divmod``, ``//`` and ``%`` are ``poly_divmod``, with an ``int`` or
     ``Fraction`` operand taken as a constant; like ``poly_divmod`` they need
     the two operands to use one variable between them.
     """
 
-    __slots__ = ("nvars", "terms", "_hash", "_key")
+    __slots__ = ("nvars", "_terms", "_vec", "_hash", "_key")
 
     def __init__(self, nvars: int, terms: Union[Mapping, Iterable] = ()):
         acc: dict = {}
@@ -121,53 +139,77 @@ class Poly:
             c = _coefficient(coeff)
             if c:
                 acc[e] = acc[e] + c if e in acc else c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", _sorted_terms(acc))
+        self._store(nvars, _sorted_terms(acc))
 
     @classmethod
     def _of(cls, nvars: int, terms: Tuple[Tuple[Exponents, Coefficient], ...]) -> "Poly":
         """A polynomial whose ``terms`` are already in canonical form."""
         p = object.__new__(cls)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", terms)
+        p._store(nvars, terms)
         return p
+
+    def _store(self, nvars: int, terms) -> None:
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_terms", terms)
+        if nvars == 1:
+            object.__setattr__(self, "_vec", _vector_of_terms(terms, 0))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
 
+    @property
+    def terms(self) -> Tuple[Tuple[Exponents, Coefficient], ...]:
+        try:
+            return self._terms
+        except AttributeError:  # a univariate arithmetic result
+            terms = _terms_of_vector(*self._vec, 1, 0)
+            object.__setattr__(self, "_terms", terms)
+            return terms
+
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
         c = _coefficient(c)
+        if nvars == 1:
+            return _univariate(((c.numerator,), c.denominator) if c else ((), 1))
         return cls._of(nvars, (((0,) * nvars, c),) if c else ())
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def __bool__(self) -> bool:
         """False exactly for the zero polynomial, as for ``int`` and ``Fraction``."""
-        return bool(self.terms)
+        if self.nvars == 1:
+            return bool(self._vec[0])
+        return bool(self._terms)
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or sum(self.terms[0][0]) == 0
+        if self.nvars == 1:
+            return len(self._vec[0]) <= 1
+        return not self._terms or sum(self._terms[0][0]) == 0
 
     def constant_value(self) -> Coefficient:
-        if not self.terms:
+        if not self:
             return 0
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self.terms[0][1]
+        return self.leading()[1]
 
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return sum(self.terms[0][0]) if self.terms else -1
+        if self.nvars == 1:
+            return len(self._vec[0]) - 1
+        return sum(self._terms[0][0]) if self._terms else -1
 
     def leading(self) -> Tuple[Exponents, Coefficient]:
-        if not self.terms:
+        if not self:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0]
+        if self.nvars == 1:
+            nums, den = self._vec
+            return (len(nums) - 1,), rational_quotient(nums[-1], den)
+        return self._terms[0]
 
     def used_variables(self) -> Tuple[int, ...]:
         used = set()
@@ -185,12 +227,28 @@ class Poly:
         return None
 
     def _plus(self, other: "Poly", sign: int) -> "Poly":
-        if not other.terms:
+        if self.nvars == 1:
+            (a, da), (b, db) = self._vec, other._vec
+            if not b:
+                return self
+            if not a and sign > 0:
+                return other
+            if da != db:
+                g = math.gcd(da, db)
+                a = [x * (db // g) for x in a]
+                b = [y * (da // g) for y in b]
+                da = da // g * db
+            if sign < 0:
+                b = [-y for y in b]
+            return _univariate(
+                _canonical_vector([x + y for x, y in zip_longest(a, b, fillvalue=0)], da)
+            )
+        if not other._terms:
             return self
-        if not self.terms and sign > 0:
+        if not self._terms and sign > 0:
             return other
-        merged = dict(self.terms)
-        for e, c in other.terms:
+        merged = dict(self._terms)
+        for e, c in other._terms:
             if sign < 0:
                 c = -c
             merged[e] = merged[e] + c if e in merged else c
@@ -205,7 +263,10 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of(self.nvars, tuple((e, -c) for e, c in self.terms))
+        if self.nvars == 1:
+            nums, den = self._vec
+            return _univariate((tuple(-x for x in nums), den))
+        return Poly._of(self.nvars, tuple((e, -c) for e, c in self._terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -220,24 +281,42 @@ class Poly:
         # A nonzero rational keeps every coefficient nonzero and the order.
         if c == 1:
             return self
+        if self.nvars == 1:
+            nums, den = self._vec
+            k = c.numerator
+            return _univariate(_canonical_vector([x * k for x in nums], den * c.denominator))
         return Poly._of(
             self.nvars,
-            tuple((e, v if type(v := k * c) is int else _integral(v)) for e, k in self.terms),
+            tuple((e, v if type(v := k * c) is int else _integral(v)) for e, k in self._terms),
         )
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return Poly._of(self.nvars, ())
+        if self.nvars == 1:
+            (a, da), (b, db) = self._vec, other._vec
+            if not a:
+                return self
+            if not b:
+                return other
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return _univariate(_canonical_vector(out, da * db))
+        if not self._terms:
+            return self
+        if not other._terms:
+            return other
         if other.is_constant:
-            return self._scaled(other.terms[0][1])
+            return self._scaled(other._terms[0][1])
         if self.is_constant:
-            return other._scaled(self.terms[0][1])
+            return other._scaled(self._terms[0][1])
         acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in self._terms:
+            for e2, c2 in other._terms:
                 e = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 acc[e] = acc[e] + c if e in acc else c
@@ -271,7 +350,11 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
+        if not isinstance(other, Poly) or self.nvars != other.nvars:
+            return False
+        if self.nvars == 1:
+            return self._vec == other._vec
+        return self._terms == other._terms
 
     def __hash__(self):
         try:
@@ -283,6 +366,19 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.nvars}, [{', '.join(map(_term_repr, self.terms))}])"
+
+
+# Slot writers for ``_univariate``: ``Poly.__setattr__`` refuses every write.
+_set_nvars = Poly.nvars.__set__
+_set_vec = Poly._vec.__set__
+
+
+def _univariate(vec: Tuple[Tuple[int, ...], int]) -> Poly:
+    """The univariate polynomial of a canonical ``(numerators, den)`` pair."""
+    p = object.__new__(Poly)
+    _set_nvars(p, 1)
+    _set_vec(p, vec)
+    return p
 
 
 def _term_repr(term) -> str:
@@ -319,6 +415,8 @@ def _coefficient(c) -> Coefficient:
     """Validate an exact rational and return its canonical form."""
     if type(c) is int:
         return c
+    if type(c) is Fraction:
+        return _integral(c)
     if isinstance(c, float):
         raise TypeError(f"polynomial coefficients must be exact, not the float {c!r}")
     return _integral(Fraction(c))
@@ -338,65 +436,92 @@ def rational_quotient(a: Coefficient, b: Coefficient) -> Coefficient:
 RingElement = Union[int, Residue, Poly]
 
 
-def _dense(p: Poly, var: int) -> List:
-    """Coefficients of a polynomial in at most the variable ``var``, indexed
-    by degree; positions without a term hold the int 0."""
-    if not p.terms:
-        return []
-    out: List = [0] * (p.terms[0][0][var] + 1)
-    for exps, c in p.terms:
-        out[exps[var]] = c
-    return out
+def _canonical_vector(nums: List[int], den: int) -> Tuple[Tuple[int, ...], int]:
+    """The canonical ``(numerators, den)`` pair of ``sum(nums[d]*x**d) / den``
+    for ``den > 0``: trailing zeros dropped, then one gcd taken out."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(x // g for x in nums), den // g
 
 
-def _from_dense(coeffs: Sequence, nvars: int, var: int) -> Poly:
-    """The polynomial in the variable ``var`` with the given dense rational
-    coefficients."""
+def _vector_of_terms(terms, var: int) -> Tuple[Tuple[int, ...], int]:
+    """The ``(numerators, den)`` pair of canonical terms in at most the
+    variable ``var``; ``den`` is the lcm of the coefficients' denominators,
+    so the pair is canonical."""
+    if not terms:
+        return (), 1
+    den = math.lcm(*(c.denominator for _, c in terms))
+    nums = [0] * (terms[0][0][var] + 1)
+    for exps, c in terms:
+        nums[exps[var]] = c.numerator * (den // c.denominator)
+    return tuple(nums), den
+
+
+def _terms_of_vector(nums: Sequence[int], den: int, nvars: int, var: int):
+    """The canonical terms of the pair ``(nums, den)`` in the variable ``var``
+    of ``nvars``."""
     before, after = (0,) * var, (0,) * (nvars - var - 1)
-    return Poly._of(
-        nvars,
-        tuple(
-            (before + (d,) + after, c if type(c) is int else _integral(c))
-            for d in range(len(coeffs) - 1, -1, -1)
-            if (c := coeffs[d])
-        ),
+    return tuple(
+        (before + (d,) + after, rational_quotient(c, den))
+        for d in range(len(nums) - 1, -1, -1)
+        if (c := nums[d])
     )
 
 
 def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
     """Univariate division with remainder; ``deg r < deg b``.
 
-    Runs on the dense coefficient lists of the one variable the operands
-    use and builds the quotient and the remainder once, at the end; a
-    dividend of lower degree than ``b`` is returned as the remainder itself.
+    Integer pseudo-division on the ``(numerators, den)`` pairs of the one
+    variable the operands use.  With ``lead`` the leading numerator of ``b``
+    and ``k = deg a - deg b + 1``, the numerators ``A`` of ``a`` are scaled
+    by ``s = lead**k`` once; every quotient coefficient is then an exact
+    integer division by ``lead``, and ``s*A = Q*B + R``.  So ``a = A/da``
+    and ``b = B/db`` give the quotient ``Q*db / (s*da)`` and the remainder
+    ``R / (s*da)``.  A dividend of lower degree than ``b`` is returned as
+    the remainder itself.
     """
-    if b.is_zero:
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if a.nvars != b.nvars:
         raise MixedRings("polynomials over different variable lists")
-    var = 0
-    if a.nvars > 1:
+    nvars, var = a.nvars, 0
+    if nvars == 1:
+        (A, da), (B, db) = a._vec, b._vec
+    else:
         used = set(a.used_variables()) | set(b.used_variables())
         if len(used) > 1:
             raise UnsupportedRing("division with remainder needs univariate operands")
         var = used.pop() if used else 0
-    if a.degree < b.degree:
-        return Poly._of(a.nvars, ()), a
-    r = _dense(a, var)
-    bc = _dense(b, var)
-    db = len(bc) - 1
-    lead = bc[db]
-    q = [0] * max(len(r) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + db]
-        if not c:
-            continue
-        c = rational_quotient(c, lead)
-        q[k] = c
-        for j in range(db):
-            if bc[j]:
-                r[k + j] -= c * bc[j]
-    return _from_dense(q, a.nvars, var), _from_dense(r[:db], a.nvars, var)
+        (A, da), (B, db) = _vector_of_terms(a.terms, var), _vector_of_terms(b.terms, var)
+    if len(A) < len(B):
+        return Poly.const(nvars, 0), a
+    deg_b, lead = len(B) - 1, B[-1]
+    k = len(A) - deg_b
+    s = lead**k
+    r = [x * s for x in A]
+    q = [0] * k
+    for i in range(k - 1, -1, -1):
+        c = r[i + deg_b]
+        if c:
+            c //= lead
+            q[i] = c
+            for j in range(deg_b):
+                r[i + j] -= c * B[j]
+    sign = 1 if s > 0 else -1  # a negative lead and odd k; den stays > 0
+    den = s * sign * da
+    quotient = _canonical_vector([x * sign * db for x in q], den)
+    remainder = _canonical_vector([x * sign for x in r[:deg_b]], den)
+    if nvars == 1:
+        return _univariate(quotient), _univariate(remainder)
+    return (
+        Poly._of(nvars, _terms_of_vector(*quotient, nvars, var)),
+        Poly._of(nvars, _terms_of_vector(*remainder, nvars, var)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -785,10 +910,15 @@ def _poly_irreducible_low_degree(p: Poly) -> bool:
     """Irreducibility over the rationals for univariate degree <= 3.
 
     A quadratic is irreducible exactly when its discriminant is not a
-    rational square, a cubic exactly when it has no rational root.
+    rational square, a cubic exactly when it has no rational root.  Both
+    tests read the integer numerators: the common denominator scales the
+    discriminant by a square and cancels in the monic cubic.
     """
-    used = p.used_variables()
-    coeffs = _dense(p, used[0] if used else 0)
+    if p.nvars == 1:
+        coeffs, _ = p._vec
+    else:
+        used = p.used_variables()
+        coeffs, _ = _vector_of_terms(p.terms, used[0] if used else 0)
     deg = len(coeffs) - 1
     if deg == 1:
         return True

@@ -1142,11 +1142,12 @@ def test_three_way_agreement_on_int_c200():
     assert_three_way(two_prime_graph([(i, (i + 1) % 200) for i in range(200)], 5))
 
 
-def test_three_way_agreement_on_qx_k8():
-    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+@pytest.mark.parametrize("n", [8, 12], ids=["K8", "K12"])
+def test_three_way_agreement_on_qx_complete_graph(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     roots = [r - len(pairs) // 2 for r in range(len(pairs))]
     random.Random(5).shuffle(roots)
-    vs = [f"v{i}" for i in range(8)]
+    vs = [f"v{i}" for i in range(n)]
     linear = lambda r: parse_element(f"x-{r}" if r >= 0 else f"x+{-r}", QX)
     edges = [
         (vs[a], vs[b], FactoredElement((make_factor(linear(r), QX),)))

@@ -34,8 +34,10 @@ from gsplines.rings import (
     format_poly,
     poly_divmod,
     rational_quotient,
+    unit_part,
 )
 from conftest import QX, QXY, ZZ, int_label
+import poly_reference as ref
 
 
 def qx(text):
@@ -364,6 +366,104 @@ def test_integral_coefficients_are_ints():
     assert rational_quotient(6, -3) == -2 and type(rational_quotient(6, -3)) is int
     assert rational_quotient(3, 6) == Fraction(1, 2)
     assert type(rational_quotient(Fraction(3, 2), Fraction(1, 2))) is int
+
+
+# Coefficients for the univariate reference: small rationals, and integers
+# and fractions past 600 digits, of either sign.  The long ones are built
+# from two short draws, which hypothesis makes far faster than one long one.
+HUGE = st.builds(lambda hi, lo: hi * 10**600 + lo, st.integers(1, 10**9), st.integers(0, 10**9))
+SIGN = st.sampled_from([1, -1])
+COEFFICIENTS = st.one_of(
+    SMALL_Q,
+    st.integers(-(10**6), 10**6),
+    st.builds(operator.mul, HUGE, SIGN),
+    st.builds(lambda m, s, d: Fraction(s * m, d), HUGE, SIGN, st.one_of(st.integers(2, 10**6), HUGE)),
+)
+
+
+@st.composite
+def univariate_polys(draw):
+    """Zero, or a polynomial of degree <= 5 whose leading coefficient is any
+    nonzero draw (negative and non-monic ones included)."""
+    if draw(st.integers(0, 9)) == 0:
+        return Poly(1, {})
+    deg = draw(st.integers(0, 5))
+    lower = draw(st.dictionaries(st.integers(0, deg).map(lambda d: (d,)), COEFFICIENTS, max_size=deg))
+    lower[(deg,)] = draw(COEFFICIENTS.filter(bool))
+    return Poly(1, lower)
+
+
+def rebuilt(p, how):
+    """``p`` built another way: by the parser, or as an arithmetic result."""
+    if how == "parser":
+        return parse_element(format_poly(p, "x"), QX)
+    if how == "arithmetic":
+        return -(-p)
+    return p
+
+
+def assert_same_poly(got, want, op):
+    assert type(got) is Poly and got.nvars == want.nvars, op
+    assert got.terms == want.terms, op
+    assert repr(got) == repr(want), op
+    assert canonical_key(got) == canonical_key(want), op
+    assert format_poly(got, "x") == format_poly(want, "x"), op
+    assert got == want and hash(got) == hash(want), op
+
+
+@settings(max_examples=100, deadline=None)
+@given(univariate_polys(), univariate_polys(), COEFFICIENTS.filter(bool),
+       st.sampled_from(["constructor", "parser", "arithmetic"]))
+def test_univariate_arithmetic_matches_the_sparse_reference(a, b, c, how):
+    """The integer-vector arithmetic of ``Q[x]`` gives what the sparse
+    ``Fraction`` arithmetic gave, term for term and character for character."""
+    a, b = rebuilt(a, how), rebuilt(b, how)
+    results = [
+        ("+", a + b, ref.plus(a, b)),
+        ("-", a - b, ref.plus(a, b, -1)),
+        ("*", a * b, ref.times(a, b)),
+        ("neg", -a, ref.neg(a)),
+        ("scalar", a * c, ref.scaled(a, Fraction(c))),
+        ("normalized_associate", normalized_associate(a, QX), ref.normalized_associate(a)),
+    ]
+    if b:
+        q, r = ref.divmod_(a, b)
+        results += [("divmod q", divmod(a, b)[0], q), ("divmod r", divmod(a, b)[1], r),
+                    ("//", a // b, q), ("%", a % b, r)]
+    for name, got, want in zip(("g", "u", "v"), extended_gcd(a, b, QX), ref.extended_gcd(a, b)):
+        results.append((f"extended_gcd {name}", got, want))
+    for op, got, want in results:
+        assert_same_poly(got, want, op)
+    u = unit_part(a, QX)
+    assert u == ref.unit_part(a) and type(u) is Fraction
+
+
+@settings(max_examples=100, deadline=None)
+@given(univariate_polys())
+def test_a_polynomial_is_one_key_however_it_was_built(p):
+    """Factor sets, inverted elements and spectrum fibers key on ``Poly``:
+    the constructor's, the parser's and arithmetic's polynomial are one key."""
+    forms = [p, Poly(1, dict(p.terms)), rebuilt(p, "parser"), rebuilt(p, "arithmetic"),
+             (p + qx("x^2")) - qx("x^2"), p * 1]
+    hashed_first = rebuilt(p, "arithmetic")
+    assert hash(hashed_first) == hash(p)  # before its terms were read
+    for x in forms:
+        assert all(x == y and hash(x) == hash(y) for y in forms)
+    assert len(set(forms)) == 1 and len(set(reversed(forms))) == 1
+    keyed = {x: i for i, x in enumerate(forms)}
+    assert len(keyed) == 1 and all(keyed[x] == len(forms) - 1 for x in forms)
+    assert p != p + 1 and p + 1 not in set(forms)
+
+
+def test_factors_match_however_their_polynomial_was_built():
+    forms = [qx("x-3"), Poly(1, {(1,): 1, (0,): -3}), qx("x") - 3, normalized_associate(qx("2*x-6"), QX),
+             divmod(qx("x^2-9"), qx("x+3"))[0]]
+    ring = QX.localize([make_factor(forms[0], QX)])
+    for f in forms:
+        label = FactoredElement((make_factor(f, QX, 2),))
+        assert trivializes(label, ring)
+        assert label.without(set(ring.inverted_elements())).is_unit_ideal()
+        assert f in ring.inverted_elements() and f in {make_factor(g, QX).element for g in forms}
 
 
 def test_float_coefficients_are_rejected():
