@@ -47,13 +47,16 @@ Hermite core take whatever route costs least to reach it:
 
 * ``hermite_rows`` files each row under its leading column and touches a
   row again only when a combination changed it,
-* ``_row_combine`` eliminates with one subtraction when one pivot entry
-  divides the other, and uses the extended-gcd transform otherwise,
-* ``_impose`` cuts a module down by edge congruences with one
-  ``hermite_rows`` pass over the rows prefixed by their endpoint
-  differences (all of a component's chords, or one equalizer's edge); it
-  discards the prefix pivot rows unfinished, and folds each equalizer from
-  the module's last pivot,
+* ``_row_combine`` eliminates with one subtraction when one value divides
+  the other, and uses the extended-gcd transform otherwise; the values are
+  pivot entries in ``hermite_rows`` and edge differences in ``_sweep``,
+* ``_impose`` cuts a triangular module down by edge congruences (all of a
+  component's chords, or one equalizer's edge) with one ``_sweep`` up the
+  rows per congruence, which carries one Bezout row and keeps the module
+  triangular on its pivot columns,
+* ``_add_pivot_row`` normalizes a pivot and reduces the entries above it,
+  for ``hermite_rows`` after each column and for ``_impose`` once at the
+  end,
 * a leaf pullback in ``_step`` starts from a canonical basis, so only the
   new column needs reducing, modulo the normalized edge generator.
 """
@@ -263,37 +266,47 @@ def _minus_multiple(row: Vector, q: RingElement, by: Vector) -> Vector:
     return tuple(out)
 
 
-def _row_combine(r1: Vector, r2: Vector, ring: RingDescriptor, col: int):
-    """Unimodular 2x2 transform taking two rows with nonzero entries at
-    ``col`` to a row whose entry there is their gcd and a row whose entry
-    there is zero, in that order.
+def _row_combine(r1: Vector, r2: Vector, a: RingElement, b: RingElement, ring: RingDescriptor):
+    """Unimodular 2x2 transform of two rows on which one linear form takes
+    the nonzero values ``a`` and ``b``: returns ``(g, r, z)`` with ``g`` a
+    gcd of ``a`` and ``b``, ``r`` a row of value ``g`` and ``z`` a row of
+    value zero.  The form is a column in ``hermite_rows`` and an edge
+    difference in ``_sweep``.
 
-    When one entry divides the other, the transform is one elimination:
-    the row with the dividing entry is kept and the other row loses a
-    multiple of it, computed only where the kept row is nonzero.  ``r2``'s
-    entry is tried as the divisor first, so for associate entries ``r2`` is
-    kept, as the extended-gcd transform keeps it.
+    When one value divides the other, the transform is one elimination:
+    the row with the dividing value is kept and the other row loses a
+    multiple of it, computed only where the kept row is nonzero.  ``b`` is
+    tried as the divisor first, so for associate values ``r2`` is kept, as
+    the extended-gcd transform keeps it.
     Otherwise it is the transform ``(u*r1 + v*r2, (b/g)*r1 - (a/g)*r2)``
     with ``u*a + v*b = g``.
     """
-    for kept, other in ((r2, r1), (r1, r2)):
-        q, rem = divmod(other[col], kept[col])
+    for kept, other, d, x in ((r2, r1, b, a), (r1, r2, a, b)):
+        q, rem = divmod(x, d)
         if not rem:
-            return kept, _minus_multiple(other, q, kept)
-    a, b = r1[col], r2[col]
+            return d, kept, _minus_multiple(other, q, kept)
     g, u, v = _extended_gcd(a, b, ring)
     ca, cb = a // g, b // g
     new1 = tuple(u * x + v * y for x, y in zip(r1, r2))
     new2 = tuple(cb * x - ca * y for x, y in zip(r1, r2))
-    return new1, new2
+    return g, new1, new2
 
 
-def _normalize_row(row: Vector, col: int, ring: RingDescriptor) -> Vector:
+def _add_pivot_row(fixed: List[Vector], row: Vector, col: int, ring: RingDescriptor) -> None:
+    """Normalize ``row`` at its pivot ``col``, reduce the entries of the
+    ``fixed`` rows above it modulo that pivot, and append it.  Reducing
+    above a pivot changes only the earlier rows, at and after ``col``."""
     u = unit_part(row[col], ring)
-    if u == 1:
-        return row
-    inv = rational_quotient(1, u)
-    return tuple(x * inv for x in row)
+    if u != 1:
+        inv = rational_quotient(1, u)
+        row = tuple(x * inv for x in row)
+    p = row[col]
+    for i, prev in enumerate(fixed):
+        if prev[col]:
+            q = prev[col] // p
+            if q:
+                fixed[i] = _minus_multiple(prev, q, row)
+    fixed.append(row)
 
 
 def _file_row(buckets: List[List[Vector]], row: Vector, start: int) -> None:
@@ -305,22 +318,14 @@ def _file_row(buckets: List[List[Vector]], row: Vector, start: int) -> None:
             return
 
 
-def hermite_rows(
-    rows: Iterable[Vector], width: int, ring: RingDescriptor, discard: int = 0
-):
+def hermite_rows(rows: Iterable[Vector], width: int, ring: RingDescriptor):
     """Canonical row Hermite form; returns ``(rows, pivots)`` without zero rows.
 
     Every row is filed once in the bucket of its leading column.  Column
     ``col`` folds its bucket into one row with ``_row_combine``; each
     second row that comes out is zero up to ``col`` and is filed again
     from ``col + 1``, so no column rescans rows that are zero there.  The
-    folded row is normalized, and the nonzero entries above its pivot are
-    reduced modulo it.
-
-    Pivot rows in the first ``discard`` columns are folded but dropped
-    unfinished: not normalized, and no later pivot reduces them.  Reducing
-    above a pivot changes only the earlier rows, so the rows kept are those
-    of the full form.
+    folded row then becomes a pivot row (``_add_pivot_row``).
     """
     buckets: List[List[Vector]] = [[] for _ in range(width)]
     for r in rows:
@@ -332,21 +337,49 @@ def hermite_rows(
             continue
         acc = carrying[0]
         for r in carrying[1:]:
-            acc, r2 = _row_combine(acc, r, ring, col)
+            _, acc, r2 = _row_combine(acc, r, acc[col], r[col], ring)
             _file_row(buckets, r2, col + 1)
         carrying.clear()  # free the folded rows before the next column
-        if col < discard:
-            continue
-        acc = _normalize_row(acc, col, ring)
-        # Reduce the entries above this pivot into canonical range.
-        for i, prev in enumerate(fixed):
-            if prev[col]:
-                q = prev[col] // acc[col]
-                if q:
-                    fixed[i] = _minus_multiple(prev, q, acc)
-        fixed.append(acc)
+        _add_pivot_row(fixed, acc, col, ring)
         pivots.append(col)
     return tuple(fixed), tuple(pivots)
+
+
+def _sweep(
+    rows: Sequence[Vector], width: int, a: int, b: int, gen: RingElement, ring: RingDescriptor
+) -> List[Vector]:
+    """Triangular rows of ``{r in span(rows) : gen | r[a] - r[b]}`` for
+    triangular ``rows``, each with the pivot column of the row it came from;
+    a zero ``gen`` means ``r[a] = r[b]``.  Pivots are left unnormalized and
+    entries above them unreduced.
+
+    One pass from the last row up carries a gcd ``G`` and a row ``B`` of the
+    rows passed, with ``B[a] - B[b] = G`` modulo ``gen``; ``G`` generates
+    the ideal of ``gen`` and those rows' differences, so it starts as
+    ``gen`` with ``B`` zero.  A row ``r`` whose difference ``c`` is zero is kept; otherwise
+    ``_row_combine`` of ``r`` and ``B`` keeps the combination of difference
+    zero, ``r - (c/G)*B`` when ``G | c``, and carries the other as ``B``
+    with the gcd as ``G``.  Over a zero ``gen`` the lowest row of nonzero
+    difference has no partner: it leaves the module and starts ``B``.  Each
+    kept row is ``r`` times a nonzero element plus rows below it, so the
+    kernel is triangular on the same pivots, less the row that left.
+    """
+    kept: List[Vector] = []
+    G = gen
+    B = (ring.zero(),) * width if gen else None
+    for r in reversed(rows):
+        c = r[a] - r[b]
+        if c and gen:
+            c %= gen
+        if not c:
+            kept.append(r)
+        elif B is None:
+            G, B = c, r
+        else:
+            G, B, r = _row_combine(r, B, c, G, ring)
+            kept.append(r)
+    kept.reverse()
+    return kept
 
 
 def _impose(
@@ -356,28 +389,25 @@ def _impose(
     ring: RingDescriptor,
 ) -> Tuple[Vector, ...]:
     """Canonical rows of ``{r in span(rows) : gen | r[a] - r[b]}`` over
-    every constraint ``(a, b, gen)``; a zero ``gen`` means ``r[a] = r[b]``.
+    every constraint ``(a, b, gen)`` for triangular ``rows``; a zero ``gen``
+    means ``r[a] = r[b]``.
 
-    Each row is prefixed with one difference column per constraint, and
-    ``gen`` times that column's coordinate vector is adjoined for every
-    nonzero ``gen``.  A combination of these rows vanishes on the prefix
-    exactly when its tail meets every congruence, so after one
-    ``hermite_rows`` pass the rows whose pivot lies past the prefix span
-    the constrained module, and their tails are its canonical rows, with
-    the prefix pivot rows discarded unfinished.  The flow-up ``rows`` enter
-    last pivot first, so each row a difference column leaves over leads at
-    its own pivot, not all at the first one.
+    Each constraint is one ``_sweep`` up the rows, which keeps them
+    triangular on a subset of their pivot columns; one finishing pass then
+    normalizes each pivot and reduces the entries above it
+    (``_add_pivot_row``).  The pivots increase down the rows, so each is
+    found by scanning on from the one before.
     """
-    k = len(constraints)
-    zero = ring.zero()
-    full = [tuple(r[a] - r[b] for a, b, _ in constraints) + tuple(r) for r in rows[::-1]]
-    full += [
-        (zero,) * i + (gen,) + (zero,) * (k - 1 - i + width)
-        for i, (_, _, gen) in enumerate(constraints)
-        if gen
-    ]
-    hrows, _ = hermite_rows(full, k + width, ring, discard=k)
-    return tuple(row[k:] for row in hrows)
+    for a, b, gen in constraints:
+        rows = _sweep(rows, width, a, b, gen, ring)
+    fixed: List[Vector] = []
+    col = 0
+    for row in rows:
+        while not row[col]:
+            col += 1
+        _add_pivot_row(fixed, row, col, ring)
+        col += 1
+    return tuple(fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ class Poly:
 
     ``divmod``, ``//`` and ``%`` are ``poly_divmod``, with an ``int`` or
     ``Fraction`` operand taken as a constant; like ``poly_divmod`` they need
-    the two operands to use one variable between them.
+    the two operands to use one variable between them.  ``*`` scales by an
+    ``int`` or ``Fraction`` operand directly, without building a constant.
     """
 
     __slots__ = ("nvars", "_terms", "_vec", "_hash", "_key")
@@ -291,6 +292,9 @@ class Poly:
         )
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = _coefficient(other)
+            return self._scaled(c) if c else _zero(self.nvars)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -379,6 +383,14 @@ def _univariate(vec: Tuple[Tuple[int, ...], int]) -> Poly:
     _set_nvars(p, 1)
     _set_vec(p, vec)
     return p
+
+
+_UNIVARIATE_ZERO = _univariate(((), 1))
+
+
+def _zero(nvars: int) -> Poly:
+    """The zero polynomial; one shared object in one variable."""
+    return _UNIVARIATE_ZERO if nvars == 1 else Poly._of(nvars, ())
 
 
 def _term_repr(term) -> str:
@@ -483,7 +495,8 @@ def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
     integer division by ``lead``, and ``s*A = Q*B + R``.  So ``a = A/da``
     and ``b = B/db`` give the quotient ``Q*db / (s*da)`` and the remainder
     ``R / (s*da)``.  A dividend of lower degree than ``b`` is returned as
-    the remainder itself.
+    the remainder itself, with the zero quotient (one shared object in one
+    variable).
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -499,7 +512,7 @@ def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
         var = used.pop() if used else 0
         (A, da), (B, db) = _vector_of_terms(a.terms, var), _vector_of_terms(b.terms, var)
     if len(A) < len(B):
-        return Poly.const(nvars, 0), a
+        return _zero(nvars), a
     deg_b, lead = len(B) - 1, B[-1]
     k = len(A) - deg_b
     s = lead**k

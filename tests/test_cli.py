@@ -22,6 +22,7 @@ HEXPOLY = fixture_path("hexpoly.json")
 HEXPOLY_OPENS = fixture_path("hexpoly_opens.json")
 BIGINT_CYCLE = fixture_path("bigint_cycle.json")
 BIGCOEF_QX = fixture_path("bigcoef_qx.json")
+ZERO_CHORD = fixture_path("zero_chord.json")
 
 
 def test_basis_triangle_golden(capsys):
@@ -71,6 +72,76 @@ def test_basis_of_a_label_with_a_coefficient_of_any_size(capsys):
     code, out, err = run(capsys, "basis", BIGCOEF_QX)
     assert (code, err) == (0, "")
     assert out.splitlines()[2] == "[ 0 x - " + "1" * 5000 + " ]"
+
+
+def test_basis_zero_chord_golden(capsys):
+    # The 4-cycle a-b-c-d-a closes with the zero-labeled chord c-d, and
+    # the chord b-d is labeled 4.  Both solvers impose the zero chord as an
+    # equality, after which no row has a nonzero difference on c and d.
+    code, out, err = run(capsys, "basis", ZERO_CHORD)
+    assert (code, err) == (0, "")
+    assert out == (
+        "vertex order: a b c d\n"
+        "[ 1  1  1  1 ]\n"
+        "[ 0 30 30 30 ]\n"
+        "[ 0  0 60 60 ]\n"
+    )
+    code, out, err = run(capsys, "basis", ZERO_CHORD, "--incremental", "--json")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n'
+        '  "vertexOrder": [\n'
+        '    "a",\n'
+        '    "b",\n'
+        '    "c",\n'
+        '    "d"\n'
+        '  ],\n'
+        '  "basis": [\n'
+        '    {\n'
+        '      "a": "1",\n'
+        '      "b": "1",\n'
+        '      "c": "1",\n'
+        '      "d": "1"\n'
+        '    },\n'
+        '    {\n'
+        '      "a": "0",\n'
+        '      "b": "30",\n'
+        '      "c": "30",\n'
+        '      "d": "30"\n'
+        '    },\n'
+        '    {\n'
+        '      "a": "0",\n'
+        '      "b": "0",\n'
+        '      "c": "60",\n'
+        '      "d": "60"\n'
+        '    }\n'
+        '  ],\n'
+        '  "trace": [\n'
+        '    "start: a",\n'
+        '    "leaf-pullback: b attached to a via 2*3",\n'
+        '    "  [ 1 1 ]",\n'
+        '    "  [ 0 6 ]",\n'
+        '    "leaf-pullback: d attached to a via 3*5",\n'
+        '    "  [ 1 1 1 ]",\n'
+        '    "  [ 0 6 0 ]",\n'
+        '    "  [ 0 0 15 ]",\n'
+        '    "leaf-pullback: c attached to b via 2*5",\n'
+        '    "  [ 1 1 1 1 ]",\n'
+        '    "  [ 0 6 0 6 ]",\n'
+        '    "  [ 0 0 15 0 ]",\n'
+        '    "  [ 0 0 0 10 ]",\n'
+        '    "edge-equalizer: b ~ d via 2^2",\n'
+        '    "  [ 1 1 1 1 ]",\n'
+        '    "  [ 0 6 30 6 ]",\n'
+        '    "  [ 0 0 60 0 ]",\n'
+        '    "  [ 0 0 0 10 ]",\n'
+        '    "edge-equalizer: c ~ d via 0",\n'
+        '    "  [ 1 1 1 1 ]",\n'
+        '    "  [ 0 30 30 30 ]",\n'
+        '    "  [ 0 0 60 60 ]"\n'
+        '  ]\n'
+        '}\n'
+    )
 
 
 def test_factorization_limits_exit_1(capsys, tmp_path):

@@ -903,6 +903,15 @@ def impose_inputs(draw):
 # ends twice with different moduli.
 @example((ZZ, 2, ((1, 1), (0, 6)), [(0, 1, 0), (1, 1, 4)]))
 @example((ZZ, 3, ((1, 1, 1), (0, 2, 0), (0, 0, 3)), [(0, 1, 4), (1, 0, 6)]))
+# The sweep's branches: over a zero generator the last row leaves the module
+# and corrects the row above it; a difference that neither divides nor is
+# divided by the carried gcd grows its row's pivot (10 -> 20); over Q[x] the
+# last difference, -x, is a unit modulo x - 1.
+@example((ZZ, 3, ((1, 0, 0), (0, 2, 0), (0, 0, 1)), [(1, 2, 0)]))
+@example((ZZ, 3, ((1, 0, 0), (0, 10, 4), (0, 0, 8)), [(1, 2, 12)]))
+@example((QX, 2, ((parse_element("1", QX), parse_element("0", QX)),
+                  (parse_element("0", QX), parse_element("x", QX))),
+          [(0, 1, parse_element("x-1", QX))]))
 def test_impose_matches_kernel_reference(case):
     ring, width, rows, constraints = case
     expected = reference_impose(rows, width, constraints, ring)
@@ -1081,17 +1090,18 @@ def two_prime_graph(pairs, seed):
 
 
 def test_incremental_cycle_entries_stay_small(monkeypatch):
-    # Each equalizer folds last pivot first, so no row carries every
-    # earlier pivot's entries along (725-bit entries when first pivot first).
+    # Each equalizer sweeps up from the last row, so no row carries every
+    # earlier pivot's entries along (725-bit entries when a Hermite pass
+    # folded the first pivot first).
     from gsplines import modules
 
     g = two_prime_graph([(i, (i + 1) % 36) for i in range(36)], 0)
     combine = modules._row_combine
     widest = []
 
-    def spy(r1, r2, ring, col):
-        out = combine(r1, r2, ring, col)
-        widest.append(max(abs(x).bit_length() for row in out for x in row))
+    def spy(r1, r2, a, b, ring):
+        out = combine(r1, r2, a, b, ring)
+        widest.append(max(abs(x).bit_length() for row in out[1:] for x in row))
         return out
 
     monkeypatch.setattr(modules, "_row_combine", spy)
@@ -1126,23 +1136,31 @@ def test_direct_imposes_each_components_chords_at_once(monkeypatch, vertices, ed
                     for c in connected_components(g)]
 
 
-# Graphs that stay well under a second only while _impose drops its prefix
-# rows unfinished and folds from the last pivot (direct integer K16,
-# incremental Q[x] K8 took seconds otherwise), and while the direct solver
-# imposes only the chords on a spanning tree's rows (direct integer C200 took
-# 0.3 s, and C400 over 2 s, with one prefix column per edge).
+# Graphs that stay well under a second only while each chord is one sweep up
+# the rows (direct integer K40 took about a second, and Q[x] K16 over half a
+# second each way, when a Hermite pass folded a difference column through
+# every row and refiled the folded rows), and while the direct solver imposes
+# only the chords on a spanning tree's rows (direct integer C200 took 0.3 s,
+# and C400 over 2 s, with one difference column per edge).
+
+
+def int_complete_graph(n):
+    return two_prime_graph([(i, j) for i in range(n) for j in range(i + 1, n)], 5)
 
 
 def test_three_way_agreement_on_int_k16():
-    pairs = [(i, j) for i in range(16) for j in range(i + 1, 16)]
-    assert_three_way(two_prime_graph(pairs, 5))
+    assert_three_way(int_complete_graph(16))
+
+
+def test_three_way_agreement_on_int_k40():
+    assert_three_way(int_complete_graph(40))
 
 
 def test_three_way_agreement_on_int_c200():
     assert_three_way(two_prime_graph([(i, (i + 1) % 200) for i in range(200)], 5))
 
 
-@pytest.mark.parametrize("n", [8, 12], ids=["K8", "K12"])
+@pytest.mark.parametrize("n", [8, 12, 16], ids=["K8", "K12", "K16"])
 def test_three_way_agreement_on_qx_complete_graph(n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     roots = [r - len(pairs) // 2 for r in range(len(pairs))]

@@ -275,6 +275,26 @@ def test_ring_operations_keep_canonical_form(pair):
         assert got == expected, op
 
 
+# Zero, small ints, and Fractions down to negative ones with denominators
+# up to 7 (a Fraction with denominator 1 among them).
+SCALARS = st.one_of(st.just(0), st.integers(-5, 5), SMALL_Q,
+                    st.fractions(min_value=-9, max_value=0, max_denominator=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(polys), SCALARS)
+def test_scalar_product_matches_product_with_the_constant(p, c):
+    # ``*`` scales by an int or a Fraction without building a constant
+    # polynomial; the product with that constant is the reference.
+    expected = p * Poly.const(p.nvars, c)
+    for got in (p * c, c * p):
+        assert_canonical(got)
+        assert got.terms == expected.terms
+        assert repr(got) == repr(expected)
+        assert got == expected
+        assert hash(got) == hash(expected)
+
+
 @settings(max_examples=150, deadline=None)
 @given(poly_pairs(univariate=True))
 def test_poly_divmod_invariants_and_sympy(pair):
