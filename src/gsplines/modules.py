@@ -58,12 +58,14 @@ Hermite core take whatever route costs least to reach it:
   for ``hermite_rows`` after each column and for ``_impose`` once at the
   end,
 * a leaf pullback in ``_step`` starts from a canonical basis, so only the
-  new column needs reducing, modulo the normalized edge generator.
+  new column needs reducing, modulo the normalized edge generator; the
+  step records just that column and the adjoined row, and ``_grow``
+  extends its rows in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -133,11 +135,36 @@ class SplineModule:
 
 @dataclass(frozen=True)
 class LeafPullback:
+    """A fresh vertex ``new_vertex`` attached to ``attach_vertex``.
+
+    The step records only what it changes: ``column``, the new column's
+    entries on the rows it extended, and ``adjoined``, the row
+    ``(0, ..., 0, p)`` it adds, ``None`` for a zero generator.  ``before``
+    links the step before it, or the start matrix; ``matrix_after`` is
+    derived from the nearest full matrix along that link."""
+
     new_vertex: str
     attach_vertex: str
     label: FactoredElement
     vertices_after: Tuple[str, ...]
-    matrix_after: Tuple[Vector, ...]
+    column: Vector
+    adjoined: Optional[Vector]
+    before: Union["Step", Tuple[Vector, ...]] = field(compare=False, repr=False)
+
+    @property
+    def matrix_after(self) -> Tuple[Vector, ...]:
+        """The rows after this step: the nearest full matrix before it, an
+        equalizer's or the start's, extended by each leaf since, in a loop
+        (a path of many leaves must not recurse)."""
+        leaves = []
+        at: Union[Step, Tuple[Vector, ...]] = self
+        while isinstance(at, LeafPullback):
+            leaves.append(at)
+            at = at.before
+        rows = [list(r) for r in (at if isinstance(at, tuple) else at.matrix_after)]
+        for leaf in reversed(leaves):
+            _extend(rows, leaf)
+        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -152,11 +179,21 @@ class EdgeEqualizer:
 Step = Union[LeafPullback, EdgeEqualizer]
 
 
+def _extend(rows: List[List[RingElement]], leaf: LeafPullback) -> None:
+    """Apply a leaf pullback to mutable rows: one entry on each row, then
+    the adjoined row."""
+    for row, x in zip(rows, leaf.column):
+        row.append(x)
+    if leaf.adjoined is not None:
+        rows.append(list(leaf.adjoined))
+
+
 @dataclass(frozen=True)
 class LimitTrace:
-    """The construction order and intermediate matrices of the incremental
-    build; replaying the steps from the one-vertex module reproduces the
-    final normalized basis."""
+    """The construction order of the incremental build and what each step
+    changed: an equalizer's full matrix, a leaf's new column.  Replaying
+    the steps from the one-vertex module reproduces the final normalized
+    basis."""
 
     start_vertex: str
     steps: Tuple[Step, ...]
@@ -396,7 +433,9 @@ def _impose(
     triangular on a subset of their pivot columns; one finishing pass then
     normalizes each pivot and reduces the entries above it
     (``_add_pivot_row``).  The pivots increase down the rows, so each is
-    found by scanning on from the one before.
+    found by scanning on from the one before.  ``rows`` may be tuples or
+    ``_grow``'s lists; every row returned is a tuple, and a tuple that
+    neither a sweep nor the finishing pass changed is returned as it is.
     """
     for a, b, gen in constraints:
         rows = _sweep(rows, width, a, b, gen, ring)
@@ -405,7 +444,7 @@ def _impose(
     for row in rows:
         while not row[col]:
             col += 1
-        _add_pivot_row(fixed, row, col, ring)
+        _add_pivot_row(fixed, tuple(row), col, ring)
         col += 1
     return tuple(fixed)
 
@@ -477,15 +516,20 @@ def _default_insertion_order(g: EdgeLabeledGraph) -> List[Edge]:
 
 def _step(
     built: Tuple[str, ...],
-    rows: Tuple[Vector, ...],
+    column: Dict[str, int],
+    rows: Sequence[Sequence[RingElement]],
     e: Edge,
     gen: RingElement,
     ring: RingDescriptor,
+    before: Union[Step, Tuple[Vector, ...]],
 ) -> Step:
-    """Insert the edge ``e`` into the module ``rows`` on ``built``.
+    """Insert the edge ``e`` into the module ``rows`` on ``built``, whose
+    vertices sit at the columns ``column`` gives; ``before`` is the step
+    that left ``rows``, or the start matrix.
 
     ``rows`` is canonical over the work ring ``ring``, and so is the step's
-    matrix; ``gen`` is the edge's generator there, and its label is recorded.
+    module; ``gen`` is the edge's generator there, and its label is
+    recorded.  The step changes neither ``rows`` nor ``column``.
 
     An edge to a fresh vertex extends every generator by its value at the
     attachment vertex and adjoins the generator supported on the new vertex
@@ -493,25 +537,27 @@ def _step(
     canonical and the adjoined row is zero on them, so each extended entry
     is reduced modulo the normalized edge generator, the adjoined row's
     pivot.  A zero generator adjoins nothing and the column is a plain copy.
+    The ``LeafPullback`` records that column and the adjoined row only.
 
     An edge between built vertices cuts ``rows`` down to the combinations
-    that meet its congruence: ``_impose`` with that one constraint.  An edge
-    that touches no built vertex is a broken invariant: ``InternalError``.
+    that meet its congruence: ``_impose`` with that one constraint, whose
+    rows the ``EdgeEqualizer`` records in full.  An edge that touches no
+    built vertex is a broken invariant: ``InternalError``.
     """
     a, b = e.a, e.b
-    if a in built and b in built:
-        matrix = _impose(rows, len(built), [(built.index(a), built.index(b), gen)], ring)
+    ca, cb = column.get(a), column.get(b)
+    if ca is not None and cb is not None:
+        matrix = _impose(rows, len(built), [(ca, cb, gen)], ring)
         return EdgeEqualizer(a, b, e.label, built, matrix)
-    if a in built or b in built:
-        attach, new = (a, b) if a in built else (b, a)
-        ia = built.index(attach)
-        after = built + (new,)
+    if ca is not None or cb is not None:
+        attach, new, ia = (a, b, ca) if ca is not None else (b, a, cb)
         if not gen:
-            matrix = tuple(row + (row[ia],) for row in rows)
+            entries, adjoined = tuple(row[ia] for row in rows), None
         else:
             p = normalized_associate(gen, ring)
-            matrix = tuple(row + (row[ia] % p,) for row in rows) + ((ring.zero(),) * len(built) + (p,),)
-        return LeafPullback(new, attach, e.label, after, matrix)
+            entries = tuple(row[ia] % p for row in rows)
+            adjoined = (ring.zero(),) * len(built) + (p,)
+        return LeafPullback(new, attach, e.label, built + (new,), entries, adjoined, before)
     raise InternalError(f"edge {a!r}-{b!r} does not touch the component built so far")
 
 
@@ -528,24 +574,36 @@ def _grow(
     With ``chords_at_once`` an edge between built vertices, a chord, is
     not stepped, and one ``_impose`` of every chord ends the walk.  Returns
     the built vertices, the module's canonical rows on them and the steps.
+
+    A leaf extends the rows in place, one entry on each row and its
+    adjoined row, so a tree costs no row copies.  An equalizer's rows stay
+    the tuples ``_impose`` returned, which share every row it left
+    unchanged with the matrix before; they become lists again only at the
+    next leaf.
     """
     built: Tuple[str, ...] = (start,)
     column = {start: 0}  # built vertex -> its column
-    rows: Tuple[Vector, ...] = ((ring.one(),),)
+    rows: Union[Tuple[Vector, ...], List[List[RingElement]]] = ((ring.one(),),)
+    last: Union[Step, Tuple[Vector, ...]] = rows
     steps: List[Step] = []
     chords = []
     for e, gen in zip(edges, gens):
         if chords_at_once and e.a in column and e.b in column:
             chords.append((column[e.a], column[e.b], gen))
             continue
-        step = _step(built, rows, e, gen, ring)
-        steps.append(step)
-        built, rows = step.vertices_after, step.matrix_after
-        if isinstance(step, LeafPullback):
-            column[step.new_vertex] = len(built) - 1
+        last = _step(built, column, rows, e, gen, ring, last)
+        steps.append(last)
+        built = last.vertices_after
+        if isinstance(last, EdgeEqualizer):
+            rows = last.matrix_after
+            continue
+        if type(rows) is tuple:
+            rows = [list(r) for r in rows]
+        _extend(rows, last)
+        column[last.new_vertex] = len(built) - 1
     if chords_at_once:
-        rows = _impose(rows, len(built), chords, ring)
-    return built, rows, steps
+        return built, _impose(rows, len(built), chords, ring), steps
+    return built, tuple(map(tuple, rows)), steps
 
 
 def _by_component(
@@ -606,7 +664,10 @@ def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
     ``_grow`` walks the recorded edges again, each generator derived from
     the recorded label, so a replay checks the labels as well as the
     matrices: the walk must run and its steps equal the recorded ones;
-    ``InternalError`` otherwise.
+    ``InternalError`` otherwise.  Steps compare by what they record, an
+    equalizer's matrix and a leaf's column and adjoined row; equal steps
+    from the same start give equal matrices, by induction, so every
+    derived ``matrix_after`` is checked too.
     """
     edges = [
         Edge(s.attach_vertex, s.new_vertex, s.label)

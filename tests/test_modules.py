@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -512,6 +513,24 @@ def test_replay_rejects_a_tampered_matrix(triangle):
     assert not issubclass(InternalError, (ValueError, InputError, ComputationError))
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda leaf: {"column": (leaf.column[0] + 1,) + leaf.column[1:]},
+    lambda leaf: {"adjoined": None},
+    lambda leaf: {"adjoined": leaf.adjoined[:-1] + (leaf.adjoined[-1] * 2,)},
+], ids=["column-entry", "adjoined-dropped", "adjoined-pivot"])
+def test_replay_rejects_a_tampered_leaf(triangle, tamper):
+    # A leaf records its new column and adjoined row, not a matrix; replay
+    # compares those, so a change to either is caught.
+    _, (trace,) = incremental_assembled(triangle)
+    i = max(k for k, s in enumerate(trace.steps) if isinstance(s, LeafPullback))
+    leaf = trace.steps[i]
+    tampered = dataclasses.replace(leaf, **tamper(leaf))
+    assert tampered.matrix_after != leaf.matrix_after
+    bad = dataclasses.replace(trace, steps=trace.steps[:i] + (tampered,) + trace.steps[i + 1:])
+    with pytest.raises(InternalError):
+        replay_trace(triangle, bad)
+
+
 def test_replay_rejects_a_renamed_vertex():
     # Renaming the first leaf leaves the next recorded edge touching no
     # built vertex: the walk cannot run, and that is a broken trace too.
@@ -881,8 +900,12 @@ def test_leaf_step_is_hermite_of_extended_matrix(case, new_first):
     gen = _edge_generator(label, ring)
     extended = [row + (row[ia],) for row in rows] + [(work.zero(),) * width + (gen,)]
     expected, _ = hermite_rows(extended, width + 1, work)
-    step = _step(built, rows, Edge(*ends, label), gen, work)
-    assert step == LeafPullback("new", built[ia], label, built + ("new",), expected)
+    column = {v: i for i, v in enumerate(built)}
+    step = _step(built, column, rows, Edge(*ends, label), gen, work, rows)
+    assert isinstance(step, LeafPullback)
+    fields = (step.new_vertex, step.attach_vertex, step.label, step.vertices_after)
+    assert fields == ("new", built[ia], label, built + ("new",))
+    assert step.matrix_after == expected
 
 
 @st.composite
@@ -925,6 +948,36 @@ def test_direct_matches_identity_reference(g, data):
     # direct = incremental no longer checks them; this reference does not.
     order = data.draw(st.permutations(g.vertices))
     assert solve_direct(g, order).rows == reference_component_rows(g, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        connected_graphs(ZZ, int_labels()),
+        connected_graphs(QX, qx_labels()),
+        st.builds(reduce_mod, connected_graphs(ZZ, int_labels()), st.integers(2, 30)),
+    )
+)
+def test_every_step_matrix_is_the_walked_subgraphs_module(g):
+    """Each step's ``matrix_after``, which a leaf derives from the steps
+    before it, is the canonical module over the work ring of the edges
+    walked so far, in ``vertices_after`` order.  The canonical form is
+    unique, so the plain reference checks the derivation without trusting
+    it.  The edges and generators come from ``g``; over ``Z/n`` an edge
+    enters the work ring ``Int`` as its integer modulus."""
+    work = work_ring(g.ring)
+    by_ends = {frozenset((e.a, e.b)): (e, gen) for e, gen in zip(g.edges, g.edge_generators)}
+    for trace in incremental_assembled(g)[1]:
+        walked = []
+        for step in trace.steps:
+            if isinstance(step, LeafPullback):
+                ends = (step.attach_vertex, step.new_vertex)
+            else:
+                ends = (step.u, step.v)
+            e, gen = by_ends[frozenset(ends)]
+            walked.append(Edge(e.a, e.b, int_label(gen) if work != g.ring else e.label))
+            sub = EdgeLabeledGraph(work, step.vertices_after, tuple(walked))
+            assert step.matrix_after == reference_component_rows(sub, step.vertices_after)
 
 
 @st.composite
@@ -1139,13 +1192,20 @@ def test_direct_imposes_each_components_chords_at_once(monkeypatch, vertices, ed
 # Graphs that stay well under a second only while each chord is one sweep up
 # the rows (direct integer K40 took about a second, and Q[x] K16 over half a
 # second each way, when a Hermite pass folded a difference column through
-# every row and refiled the folded rows), and while the direct solver imposes
+# every row and refiled the folded rows), while the direct solver imposes
 # only the chords on a spanning tree's rows (direct integer C200 took 0.3 s,
-# and C400 over 2 s, with one difference column per edge).
+# and C400 over 2 s, with one difference column per edge), and while a leaf
+# pullback appends its new column to the rows in place and records only that
+# column (integer C400 took 0.24 s to build and 0.28 s to replay, and its
+# trace held 178 MB, when every leaf copied every row into a full matrix).
 
 
 def int_complete_graph(n):
     return two_prime_graph([(i, j) for i in range(n) for j in range(i + 1, n)], 5)
+
+
+def int_cycle(n):
+    return two_prime_graph([(i, (i + 1) % n) for i in range(n)], 5)
 
 
 def test_three_way_agreement_on_int_k16():
@@ -1157,7 +1217,37 @@ def test_three_way_agreement_on_int_k40():
 
 
 def test_three_way_agreement_on_int_c200():
-    assert_three_way(two_prime_graph([(i, (i + 1) % 200) for i in range(200)], 5))
+    assert_three_way(int_cycle(200))
+
+
+def test_three_way_agreement_on_int_c400():
+    assert_three_way(int_cycle(400))
+
+
+def test_incremental_c400_trace_stays_small():
+    # 399 leaves record 80k column entries; full matrices were 21M.
+    g = int_cycle(400)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = incremental_assembled(g)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result[0].rank == 400
+    assert retained < 16 * 10**6
+
+
+def test_long_path_derives_its_last_matrix_without_recursion():
+    # Each leaf's matrix is derived along the links to the start matrix; a
+    # loop, not recursion, so a path longer than the recursion limit works.
+    n = 1100
+    rng = random.Random(5)
+    vs = [f"p{i:04d}" for i in range(n)]
+    g = int_graph(vs, [(vs[i], vs[i + 1], rng.choice(PRIMES_BELOW_50)) for i in range(n - 1)])
+    m, (trace,) = incremental_assembled(g)
+    assert trace.steps[-1].vertices_after == m.vertex_order
+    assert trace.steps[-1].matrix_after == m.rows
 
 
 @pytest.mark.parametrize("n", [8, 12, 16], ids=["K8", "K12", "K16"])
