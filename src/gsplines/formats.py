@@ -20,12 +20,19 @@ All emitted text is UTF-8 with LF line endings and byte-stable across runs.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .certificates import BasicOpen, CertificateReport, CoverStatus
 from .errors import SchemaError
 from .graphs import EdgeLabeledGraph, RestrictionOutcome, normalize
-from .modules import LimitTrace, LeafPullback, SplineModule, format_matrix, work_ring
+from .modules import (
+    LeafPullback,
+    LimitTrace,
+    SplineModule,
+    _extend,
+    format_matrix,
+    work_ring,
+)
 from .parsing import parse_element
 from .rings import (
     INT,
@@ -285,22 +292,36 @@ def render_basis_text(module: SplineModule) -> str:
 
 def render_trace_text(g, trace: LimitTrace) -> str:
     """The trace's steps; labels print over ``g.ring``, step rows over the
-    work ring the steps computed in (``Int`` for a residue ring)."""
+    work ring the steps computed in (``Int`` for a residue ring).
+
+    The rows come from one running matrix, in one forward pass: a leaf
+    that follows the step it links extends it in place (``_extend``, as in
+    the walk), and any other step replaces it by its ``matrix_after``.  So
+    a run of leaves is not derived again from the matrix before it.
+    """
     ring = g.ring
     work = work_ring(ring)
     lines = [f"start: {trace.start_vertex}"]
+    rows: List[list] = []
+    prev = None
     for step in trace.steps:
         if isinstance(step, LeafPullback):
             lines.append(
                 f"leaf-pullback: {step.new_vertex} attached to {step.attach_vertex}"
                 f" via {format_factored(step.label, ring)}"
             )
+            if step.before is prev:
+                _extend(rows, step)
+            else:  # the first step, after the start matrix, or a relinked one
+                rows = [list(r) for r in step.matrix_after]
         else:
             lines.append(
                 f"edge-equalizer: {step.u} ~ {step.v}"
                 f" via {format_factored(step.label, ring)}"
             )
-        for row in step.matrix_after:
+            rows = [list(r) for r in step.matrix_after]
+        prev = step
+        for row in rows:
             cells = " ".join(format_element(x, work) for x in row)
             lines.append(f"  [ {cells} ]")
     return "\n".join(lines)

@@ -9,7 +9,8 @@ all splines is computed three ways:
 * ``solve_direct`` runs the same build's leaf pullbacks along a spanning
   tree and imposes the other edges, the chords, at once,
 * ``bruteforce_values`` lists every labeling over a residue ring
-  (``enumerate_bruteforce`` as ``Spline``s).
+  (``enumerate_bruteforce`` as ``Spline``s, each backed by its row of
+  values rather than a dict).
 
 The solvers are one walk, ``_grow``, that differs only in imposing the
 chords together or one at a time, and a trace replays through it too;
@@ -65,8 +66,9 @@ Hermite core take whatever route costs least to reach it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import compress
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalError, TooLarge, UnsupportedRing
@@ -97,15 +99,74 @@ _ENUMERATION_GUARD = 10**7
 Vector = Tuple[RingElement, ...]
 
 
-@dataclass(frozen=True)
 class Spline:
-    """One vertex labeling; ``values`` maps every vertex to a ring element."""
+    """One vertex labeling; ``values`` maps every vertex to a ring element.
 
-    graph: EdgeLabeledGraph
-    values: Dict[str, RingElement]
+    Immutable, and equal to another ``Spline`` exactly when their graphs
+    and ``values`` are equal; like the mapping it holds, it has no hash.
+    ``Spline(graph, values)`` keeps the caller's mapping.  ``_of_row``
+    keeps a row of values in ``graph.vertices`` order instead, one tuple
+    per spline for brute force: ``values`` is derived from the row on first
+    read and kept, as ``Poly`` keeps the ``terms`` it derives, and
+    ``value_tuple`` in the graph's vertex order is the row itself.  An
+    assignment raises ``FrozenInstanceError``, and ``repr`` prints
+    ``Spline(graph=..., values=...)``.
+    """
+
+    __slots__ = ("graph", "_values", "_row")
+    __match_args__ = ("graph", "values")
+    __hash__ = None
+
+    def __init__(self, graph: EdgeLabeledGraph, values: Dict[str, RingElement]):
+        _set_graph(self, graph)
+        _set_values(self, values)
+        _set_row(self, None)
+
+    @classmethod
+    def _of_row(cls, graph: EdgeLabeledGraph, row: Vector) -> "Spline":
+        """The spline with ``row[i]`` at ``graph.vertices[i]``."""
+        s = object.__new__(cls)
+        _set_graph(s, graph)
+        _set_row(s, row)
+        return s
+
+    @property
+    def values(self) -> Dict[str, RingElement]:
+        try:
+            return self._values
+        except AttributeError:  # row-backed, first read
+            values = dict(zip(self.graph.vertices, self._row))
+            _set_values(self, values)
+            return values
 
     def value_tuple(self, order: Sequence[str]) -> Vector:
+        row = self._row
+        if row is not None and order == self.graph.vertices:
+            return row
         return tuple(map(self.values.__getitem__, order))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.graph, self.values) == (other.graph, other.values)
+        return NotImplemented
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Spline, (self.graph, self.values)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(graph={self.graph!r}, values={self.values!r})"
+
+
+# Slot writers: ``Spline.__setattr__`` refuses every write.
+_set_graph = Spline.graph.__set__
+_set_values = Spline._values.__set__
+_set_row = Spline._row.__set__
 
 
 @dataclass(frozen=True)
@@ -695,10 +756,14 @@ def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
     endpoint, as soon as both values exist, so a prefix that already breaks
     one is never extended.  The modulus is ``m = gen or n`` for the edge's
     stored generator (``edge_modulus``); edges of modulus 1 impose nothing
-    and are skipped.  Values are tried in increasing order,
-    so the output is in lexicographic order of the value tuples, exactly
-    the order of the full ``n^|V|`` product.  The search reads only the
-    edges: neither pivots nor any Hermite structure, and no solver.
+    and are skipped.  Every ``m`` divides ``n``, so the values a prefix
+    admits at a vertex are ``x0, x0 + M, ...`` below ``n`` with ``M`` the
+    lcm of the moduli checked there: ``x0`` is searched in ``[0, M)`` only,
+    along the first congruence's class, and a prefix whose congruences
+    disagree is dropped.  Values come in increasing order, so the output is
+    in lexicographic order of the value tuples, exactly the order of the
+    full ``n^|V|`` product.  The search reads only the edges: neither
+    pivots nor any Hermite structure, and no solver.
 
     Guarded at ``n^|V| <= 10**7``.
     """
@@ -721,24 +786,32 @@ def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
         if not at:
             prefixes = [p + (x,) for p in prefixes for x in range(n)]
             continue
-        # The first congruence fixes x modulo m0: step through its class.
+        # The first congruence fixes x modulo m0; all of them, if they
+        # agree, fix x modulo step = lcm(m_i), a divisor of n.
         (i0, m0), rest = at[0], at[1:]
-        prefixes = [
-            p + (x,)
-            for p in prefixes
-            for x in range(p[i0] % m0, n, m0)
-            if all((x - p[i]) % m == 0 for i, m in rest)
-        ]
+        if not rest:
+            prefixes = [p + (x,) for p in prefixes for x in range(p[i0] % m0, n, m0)]
+            continue
+        step = lcm(*(m for _, m in at))
+        extended = []
+        for p in prefixes:
+            for x0 in range(p[i0] % m0, step, m0):
+                if all((x0 - p[i]) % m == 0 for i, m in rest):
+                    extended += [p + (x,) for x in range(x0, n, step)]
+                    break
+        prefixes = extended
     return prefixes
 
 
 def enumerate_bruteforce(g: EdgeLabeledGraph) -> List[Spline]:
-    """``bruteforce_values`` as ``Spline``s, in the same order."""
+    """``bruteforce_values`` as ``Spline``s, in the same order; each is
+    row-backed (``Spline._of_row``), on residues shared across splines."""
     values = bruteforce_values(g)
     n = g.ring.modulus
     # One shared Residue per value; every value occurs at the first vertex.
     table = [Residue(x, n) for x in range(n)] if g.vertices else []
-    return [Spline(g, dict(zip(g.vertices, map(table.__getitem__, p)))) for p in values]
+    of_row = Spline._of_row
+    return [of_row(g, tuple(map(table.__getitem__, p))) for p in values]
 
 
 def spline_set(module: SplineModule) -> frozenset:

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -49,7 +51,14 @@ from gsplines.modules import (
     hermite_rows,
     work_ring,
 )
-from gsplines.rings import _edge_generator, factored_from_residue, normalized_associate
+from gsplines.formats import render_trace_text
+from gsplines.rings import (
+    _edge_generator,
+    factored_from_residue,
+    format_element,
+    format_factored,
+    normalized_associate,
+)
 from gsplines.rings import gcd as ring_gcd
 from conftest import QX, QXY, ZZ, int_graph, int_label
 from hermite_reference import reference_component_rows, reference_hermite_rows, reference_impose
@@ -662,6 +671,107 @@ def test_bruteforce_lexicographic_order_on_three_vertices():
         assert all(a < b for a, b in zip(tuples, tuples[1:]))
 
 
+def test_bruteforce_steps_by_the_lcm_of_a_vertexs_congruences():
+    # w meets two congruences, mod 5 and mod 7, so its values step by 35;
+    # every (u, v) pair with v = u mod 3 has three choices of w in Z/105.
+    g = reduce_mod(int_graph(["u", "v", "w"], [("u", "v", 3), ("v", "w", 5), ("u", "w", 7)]), 105)
+    values = bruteforce_values(g)
+    assert len(values) == 11025
+    assert values[:3] == [(0, 0, 0), (0, 0, 35), (0, 0, 70)]
+    assert values[3] == (0, 3, 28)
+    # d's third congruence widens the step from lcm(2, 4) = 4 to 12.
+    star = reduce_mod(int_graph(["a", "b", "c", "d"], [("a", "d", 2), ("b", "d", 4), ("c", "d", 3)]), 12)
+    assert bruteforce_values(star) == product_bruteforce(star)
+
+
+# --- Spline: a dict-backed or a row-backed labeling --------------------------------
+
+
+@pytest.fixture
+def residue_path():
+    return reduce_mod(int_graph(["u", "v", "w"], [("u", "v", 2), ("v", "w", 3)]), 6)
+
+
+def test_row_backed_spline_equals_the_dict_spline(residue_path):
+    g = residue_path
+    for s in enumerate_bruteforce(g):
+        row = s.value_tuple(g.vertices)
+        by_dict = Spline(g, dict(zip(g.vertices, row)))
+        assert s == by_dict and by_dict == s
+        assert not s != by_dict
+    first, second = enumerate_bruteforce(g)[:2]
+    assert first != second and Spline(g, dict(second.values)) != first
+    assert first != first.values and first.__eq__(first.values) is NotImplemented
+
+
+def test_row_backed_values_follow_the_vertex_order(residue_path):
+    g = residue_path
+    s = enumerate_bruteforce(g)[-1]
+    assert list(s.values) == list(g.vertices)
+    assert s.values is s.values
+    assert tuple(s.values.values()) == s.value_tuple(g.vertices)
+
+
+def test_value_tuple_in_another_order(residue_path):
+    g = residue_path
+    order = tuple(reversed(g.vertices))
+    for s in enumerate_bruteforce(g):
+        expected = tuple(s.values[v] for v in order)
+        assert s.value_tuple(order) == expected
+        assert Spline(g, dict(s.values)).value_tuple(order) == expected
+        assert s.value_tuple(list(g.vertices)) == s.value_tuple(g.vertices)
+
+
+def test_spline_is_immutable_and_unhashable(residue_path):
+    g = residue_path
+    for s in (enumerate_bruteforce(g)[1], Spline(g, {v: Residue(1, 6) for v in g.vertices})):
+        for name in ("graph", "values", "_row", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del s.graph
+        with pytest.raises(TypeError):
+            hash(s)
+        assert copy.copy(s) == s and pickle.loads(pickle.dumps(s)) == s
+
+
+def test_spline_repr_keeps_the_dataclass_format(residue_path):
+    g = residue_path
+    s = enumerate_bruteforce(g)[3]
+    expected = f"Spline(graph={g!r}, values={{'u': Residue(0 mod 6), 'v': Residue(2 mod 6), 'w': Residue(5 mod 6)}})"
+    assert repr(s) == repr(Spline(g, dict(s.values))) == expected
+
+
+def _trace_text_reference(g, trace):
+    """The trace text printed from each step's own ``matrix_after``."""
+    work = work_ring(g.ring)
+    lines = [f"start: {trace.start_vertex}"]
+    for step in trace.steps:
+        if isinstance(step, LeafPullback):
+            head = f"leaf-pullback: {step.new_vertex} attached to {step.attach_vertex}"
+        else:
+            head = f"edge-equalizer: {step.u} ~ {step.v}"
+        lines.append(f"{head} via {format_factored(step.label, g.ring)}")
+        for row in step.matrix_after:
+            lines.append(f"  [ {' '.join(format_element(x, work) for x in row)} ]")
+    return "\n".join(lines)
+
+
+def test_trace_text_of_a_relinked_trace():
+    # The printer extends one running matrix by each leaf; a leaf that does
+    # not follow the step it links (here the one after a replaced first
+    # step) prints the matrix it derives along its own link.
+    g = int_graph(["a", "b", "c", "d"], [("a", "b", 6), ("b", "c", 10), ("c", "d", 15), ("a", "d", 4)])
+    _, (trace,) = incremental_assembled(g)
+    first = trace.steps[0]
+    replaced = dataclasses.replace(first, column=(first.column[0] + 1,))
+    relinked = dataclasses.replace(trace, steps=(replaced,) + trace.steps[1:])
+    assert isinstance(trace.steps[1], LeafPullback) and trace.steps[1].before is first
+    for t in (trace, relinked):
+        assert render_trace_text(g, t) == _trace_text_reference(g, t)
+    assert render_trace_text(g, relinked) != render_trace_text(g, trace)
+
+
 def test_spline_set_matches_product_span_on_redundant_rows():
     rng = random.Random(103)
     for _ in range(60):
@@ -711,6 +821,16 @@ def test_residue_three_way_agreement_property(g):
     brute = brute_set(g)
     assert spline_set(solve_direct(g)) == brute
     assert spline_set(incremental_assembled(g)[0]) == brute
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_graphs())
+def test_bruteforce_splines_equal_dict_splines_property(g):
+    values = bruteforce_values(g)
+    assert values == product_bruteforce(g)
+    n = g.ring.modulus
+    expected = [Spline(g, {v: Residue(x, n) for v, x in zip(g.vertices, t)}) for t in values]
+    assert enumerate_bruteforce(g) == expected
 
 
 QX_FACTORS = ("x", "x-1", "x+2", "x^2+1", "2*x-3")
@@ -978,6 +1098,19 @@ def test_every_step_matrix_is_the_walked_subgraphs_module(g):
             walked.append(Edge(e.a, e.b, int_label(gen) if work != g.ring else e.label))
             sub = EdgeLabeledGraph(work, step.vertices_after, tuple(walked))
             assert step.matrix_after == reference_component_rows(sub, step.vertices_after)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        connected_graphs(ZZ, int_labels()),
+        connected_graphs(QX, qx_labels()),
+        st.builds(reduce_mod, connected_graphs(ZZ, int_labels()), st.integers(2, 30)),
+    )
+)
+def test_trace_text_prints_each_step_matrix(g):
+    for trace in incremental_assembled(g)[1]:
+        assert render_trace_text(g, trace) == _trace_text_reference(g, trace)
 
 
 @st.composite
