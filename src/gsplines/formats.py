@@ -20,19 +20,12 @@ All emitted text is UTF-8 with LF line endings and byte-stable across runs.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .certificates import BasicOpen, CertificateReport, CoverStatus
 from .errors import SchemaError
 from .graphs import EdgeLabeledGraph, RestrictionOutcome, normalize
-from .modules import (
-    LeafPullback,
-    LimitTrace,
-    SplineModule,
-    _extend,
-    format_matrix,
-    work_ring,
-)
+from .modules import LeafPullback, LimitTrace, SplineModule, work_ring
 from .parsing import parse_element
 from .rings import (
     INT,
@@ -42,11 +35,11 @@ from .rings import (
     FactoredElement,
     RingDescriptor,
     RingElement,
-    canonical_key,
     factored_from_residue,
     format_element,
     format_factored,
     integer_factors,
+    lcm_factors,
     make_factor,
 )
 from .spectrum import SpectrumDiff, SpectrumReport
@@ -100,14 +93,13 @@ def factor_list(texts: Sequence[str], ring: RingDescriptor, where: str) -> Tuple
 
 
 def _factor_list(texts: Sequence[str], parse: _Parse, where: str) -> Tuple[Factor, ...]:
-    out: Dict[RingElement, Factor] = {}
-    for text in texts:
+    """``rings.lcm_factors`` of the texts' factors, each text checked as it is parsed."""
+
+    def factors(text):
         _expect(isinstance(text, str), f"{where} entries must be strings")
-        for f in parse(text):
-            old = out.get(f.element)
-            if old is None or f.multiplicity > old.multiplicity:
-                out[f.element] = f
-    return tuple(sorted(out.values(), key=lambda f: canonical_key(f.element)))
+        return parse(text)
+
+    return lcm_factors(f for text in texts for f in factors(text))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +277,20 @@ def basis_to_json(module: SplineModule) -> dict:
     }
 
 
+def format_matrix(module: SplineModule) -> str:
+    """The module's rows, each column right-aligned to its widest entry."""
+    ring = module.graph.ring
+    cells = [[format_element(x, ring) for x in row] for row in module.rows]
+    if not cells:
+        return "(zero module)"
+    widths = [max(len(row[j]) for row in cells) for j in range(len(module.vertex_order))]
+    lines = []
+    for row in cells:
+        padded = " ".join(c.rjust(w) for c, w in zip(row, widths))
+        lines.append(f"[ {padded} ]")
+    return "\n".join(lines)
+
+
 def render_basis_text(module: SplineModule) -> str:
     header = f"vertex order: {' '.join(module.vertex_order)}"
     return header + "\n" + format_matrix(module)
@@ -294,33 +300,18 @@ def render_trace_text(g, trace: LimitTrace) -> str:
     """The trace's steps; labels print over ``g.ring``, step rows over the
     work ring the steps computed in (``Int`` for a residue ring).
 
-    The rows come from one running matrix, in one forward pass: a leaf
-    that follows the step it links extends it in place (``_extend``, as in
-    the walk), and any other step replaces it by its ``matrix_after``.  So
-    a run of leaves is not derived again from the matrix before it.
+    The rows are ``trace.matrices_after()``, each step's ``matrix_after``
+    from one forward pass in ``modules``; this function only formats them.
     """
     ring = g.ring
     work = work_ring(ring)
     lines = [f"start: {trace.start_vertex}"]
-    rows: List[list] = []
-    prev = None
-    for step in trace.steps:
+    for step, rows in zip(trace.steps, trace.matrices_after()):
         if isinstance(step, LeafPullback):
-            lines.append(
-                f"leaf-pullback: {step.new_vertex} attached to {step.attach_vertex}"
-                f" via {format_factored(step.label, ring)}"
-            )
-            if step.before is prev:
-                _extend(rows, step)
-            else:  # the first step, after the start matrix, or a relinked one
-                rows = [list(r) for r in step.matrix_after]
+            head = f"leaf-pullback: {step.new_vertex} attached to {step.attach_vertex}"
         else:
-            lines.append(
-                f"edge-equalizer: {step.u} ~ {step.v}"
-                f" via {format_factored(step.label, ring)}"
-            )
-            rows = [list(r) for r in step.matrix_after]
-        prev = step
+            head = f"edge-equalizer: {step.u} ~ {step.v}"
+        lines.append(f"{head} via {format_factored(step.label, ring)}")
         for row in rows:
             cells = " ".join(format_element(x, work) for x in row)
             lines.append(f"  [ {cells} ]")

@@ -27,6 +27,7 @@ from .rings import (
     check_element,
     edge_modulus,
     factored_from_residue,
+    lcm_factors,
 )
 
 
@@ -103,12 +104,7 @@ def _intersect_labels(
         return factored_from_residue(
             math.lcm(edge_modulus(l1, ring), edge_modulus(l2, ring)), ring
         )
-    merged: Dict[RingElement, Factor] = {}
-    for f in l1.factors + l2.factors:
-        old = merged.get(f.element)
-        if old is None or f.multiplicity > old.multiplicity:
-            merged[f.element] = f
-    return FactoredElement(tuple(merged.values()))
+    return FactoredElement(lcm_factors(l1.factors + l2.factors))
 
 
 def normalize(

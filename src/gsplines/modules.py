@@ -62,6 +62,9 @@ Hermite core take whatever route costs least to reach it:
   new column needs reducing, modulo the normalized edge generator; the
   step records just that column and the adjoined row, and ``_grow``
   extends its rows in place.
+
+This module owns that leaf-delta format (``_extend``) and the forward pass
+over a trace, ``LimitTrace.matrices_after``; ``formats`` prints them.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import compress
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalError, TooLarge, UnsupportedRing
 from .graphs import Edge, EdgeLabeledGraph, connected_components
@@ -86,7 +89,6 @@ from .rings import (
     _extended_gcd,
     coerce,
     exact_divide,
-    format_element,
     is_unit,
     normalized_associate,
     rational_quotient,
@@ -222,9 +224,9 @@ class LeafPullback:
         while isinstance(at, LeafPullback):
             leaves.append(at)
             at = at.before
-        rows = [list(r) for r in (at if isinstance(at, tuple) else at.matrix_after)]
+        rows = at if isinstance(at, tuple) else at.matrix_after
         for leaf in reversed(leaves):
-            _extend(rows, leaf)
+            rows = _extend(rows, leaf)
         return tuple(map(tuple, rows))
 
 
@@ -240,13 +242,17 @@ class EdgeEqualizer:
 Step = Union[LeafPullback, EdgeEqualizer]
 
 
-def _extend(rows: List[List[RingElement]], leaf: LeafPullback) -> None:
-    """Apply a leaf pullback to mutable rows: one entry on each row, then
-    the adjoined row."""
+def _extend(rows, leaf: LeafPullback) -> List[List[RingElement]]:
+    """Apply a leaf pullback to rows: one entry on each row, then the
+    adjoined row.  Lists of rows are extended in place and returned; a
+    tuple of rows (a full matrix) is copied to lists first."""
+    if type(rows) is tuple:
+        rows = [list(r) for r in rows]
     for row, x in zip(rows, leaf.column):
         row.append(x)
     if leaf.adjoined is not None:
         rows.append(list(leaf.adjoined))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -258,6 +264,20 @@ class LimitTrace:
 
     start_vertex: str
     steps: Tuple[Step, ...]
+
+    def matrices_after(self) -> Iterator[Tuple[Vector, ...]]:
+        """Each step's ``matrix_after``, from one running matrix: a leaf
+        that follows the step it links extends it in place (``_extend``),
+        any other step replaces it by its own ``matrix_after``.  So a run
+        of leaves is not derived again from the matrix before it."""
+        rows, prev = (), None
+        for step in self.steps:
+            if isinstance(step, LeafPullback) and step.before is prev:
+                rows = _extend(rows, step)
+            else:
+                rows = step.matrix_after
+            yield tuple(map(tuple, rows))
+            prev = step
 
 
 @dataclass(frozen=True)
@@ -658,9 +678,7 @@ def _grow(
         if isinstance(last, EdgeEqualizer):
             rows = last.matrix_after
             continue
-        if type(rows) is tuple:
-            rows = [list(r) for r in rows]
-        _extend(rows, last)
+        rows = _extend(rows, last)
         column[last.new_vertex] = len(built) - 1
     if chords_at_once:
         return built, _impose(rows, len(built), chords, ring), steps
@@ -760,10 +778,11 @@ def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
     admits at a vertex are ``x0, x0 + M, ...`` below ``n`` with ``M`` the
     lcm of the moduli checked there: ``x0`` is searched in ``[0, M)`` only,
     along the first congruence's class, and a prefix whose congruences
-    disagree is dropped.  Values come in increasing order, so the output is
-    in lexicographic order of the value tuples, exactly the order of the
-    full ``n^|V|`` product.  The search reads only the edges: neither
-    pivots nor any Hermite structure, and no solver.
+    disagree is dropped; with one congruence ``x0`` is that class's own.
+    Values come in increasing order, so the output is in lexicographic
+    order of the value tuples, exactly the order of the full ``n^|V|``
+    product.  The search reads only the edges: neither pivots nor any
+    Hermite structure, and no solver.
 
     Guarded at ``n^|V| <= 10**7``.
     """
@@ -787,19 +806,17 @@ def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
             prefixes = [p + (x,) for p in prefixes for x in range(n)]
             continue
         # The first congruence fixes x modulo m0; all of them, if they
-        # agree, fix x modulo step = lcm(m_i), a divisor of n.
+        # agree, fix x modulo step = lcm(m_i), a divisor of n, so at most
+        # one x0 in [0, step) passes.
         (i0, m0), rest = at[0], at[1:]
-        if not rest:
-            prefixes = [p + (x,) for p in prefixes for x in range(p[i0] % m0, n, m0)]
-            continue
         step = lcm(*(m for _, m in at))
-        extended = []
-        for p in prefixes:
-            for x0 in range(p[i0] % m0, step, m0):
-                if all((x0 - p[i]) % m == 0 for i, m in rest):
-                    extended += [p + (x,) for x in range(x0, n, step)]
-                    break
-        prefixes = extended
+        prefixes = [
+            p + (x,)
+            for p in prefixes
+            for x0 in range(p[i0] % m0, step, m0)
+            if all((x0 - p[i]) % m == 0 for i, m in rest)
+            for x in range(x0, n, step)
+        ]
     return prefixes
 
 
@@ -953,25 +970,3 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
     if any(residual):
         return MembershipResult(False)
     return MembershipResult(True, tuple(coefficients))
-
-
-# ---------------------------------------------------------------------------
-# rendering helpers shared by the CLI and tests
-
-
-def format_matrix(module: SplineModule) -> str:
-    ring = module.graph.ring
-    cells = [
-        [format_element(x, ring) for x in row] for row in module.rows
-    ]
-    if not cells:
-        return "(zero module)"
-    widths = [
-        max(len(cells[i][j]) for i in range(len(cells)))
-        for j in range(len(module.vertex_order))
-    ]
-    lines = []
-    for row in cells:
-        padded = " ".join(c.rjust(w) for c, w in zip(row, widths))
-        lines.append(f"[ {padded} ]")
-    return "\n".join(lines)

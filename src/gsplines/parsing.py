@@ -18,14 +18,14 @@ around it, skips the grammar and becomes ``ring.from_int`` of its value,
 which is what the grammar gives for it in every ring.  Any other text, a
 padded, ``+``-signed or non-ASCII one included, takes the grammar.
 
-The parser evaluates on plain term dicts ``{exponent tuple: int |
-Fraction}``, with ``^`` by repeated squaring, and builds the one ``Poly``
-at the end: one sort, which also stores integral coefficients as ints.
+This module is the grammar only: it evaluates on term dicts ``{exponent
+tuple: int | Fraction}`` with the term kernel of ``rings``, as ``Poly``
+does, and builds the one ``Poly`` at the end: one sort, which also stores
+integral coefficients as ints.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from typing import List, Tuple
 
@@ -39,6 +39,9 @@ from .rings import (
     RingElement,
     _from_decimal,
     _sorted_terms,
+    _terms_power,
+    _terms_product,
+    _terms_sum,
     _to_decimal,
     rational_quotient,
 )
@@ -60,22 +63,6 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
         tokens.append((kind, tok, at))
     tokens.append(("END", "", len(text)))
     return tokens
-
-
-def _plus(a: dict, b: dict, sign: int) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + sign * c
-    return out
-
-
-def _times(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(operator.add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
 
 
 class _Parser:
@@ -114,7 +101,7 @@ class _Parser:
             kind, tok, _ = self.current
             if kind == "OP" and tok in "+-":
                 self._advance()
-                value = _plus(value, self.term(), 1 if tok == "+" else -1)
+                value = _terms_sum(value, self.term(), 1 if tok == "+" else -1)
             else:
                 return value
 
@@ -124,7 +111,7 @@ class _Parser:
             kind, tok, _ = self.current
             if kind == "OP" and tok == "*":
                 self._advance()
-                value = _times(value, self.factor())
+                value = _terms_product(value, self.factor())
             else:
                 return value
 
@@ -133,14 +120,7 @@ class _Parser:
         kind, tok, _ = self.current
         if kind == "OP" and tok == "^":
             self._advance()
-            k, result = self._natural(), {self.one: 1}
-            while k:
-                if k & 1:
-                    result = _times(result, value)
-                k >>= 1
-                if k:
-                    value = _times(value, value)
-            return result
+            return _terms_power(value, self._natural(), self.nvars)
         return value
 
     def base(self) -> dict:

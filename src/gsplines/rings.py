@@ -27,6 +27,11 @@ and ``%``, as ints do, by integer pseudo-division, so the Euclidean
 algorithms (``gcd``, ``extended_gcd``, ``exact_divide``) and the Hermite
 core of ``modules`` run one loop for ``Int`` and ``Q[x]``.
 
+Sparse term arithmetic lives once, in the term kernel (``_terms_sum``,
+``_terms_product``, ``_terms_power``): ``Poly``'s several-variable ``+ -
+*``, its ``**`` and the parser all compute there.  ``lcm_factors`` is the
+one lcm of factor lists.
+
 All values are immutable and all functions are pure, so concurrent use
 needs no coordination.
 """
@@ -38,7 +43,7 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Container, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import MixedRings, TooLarge, UnsupportedRing
 
@@ -101,11 +106,12 @@ class Poly:
     tuple.  ``int`` and ``Fraction`` compare and hash alike; ``repr``
     prints integral coefficients as ints.  The constructor validates and
     canonicalizes arbitrary input and rejects ``float`` coefficients.
-    Multivariate arithmetic results are canonical by construction and go
-    through ``Poly._of``, which stores a term tuple as given.  Canonical
-    terms make ``==`` and ``hash`` decide equality of polynomials; the hash
-    is computed on first use and kept in ``_hash``, and the sort key of
-    ``canonical_key`` likewise in ``_key``.
+    Multivariate ``+ - *`` and every ``**`` run the term kernel; their
+    results are canonical by construction and go through ``Poly._of``,
+    which stores a term tuple as given.  Canonical terms make ``==`` and
+    ``hash`` decide equality of polynomials; the hash is computed on first
+    use and kept in ``_hash``, and the sort key of ``canonical_key``
+    likewise in ``_key``.
 
     A univariate polynomial (``nvars == 1``) computes on a second canonical
     form instead, the pair ``(numerators, den)`` kept in ``_vec``:
@@ -248,11 +254,7 @@ class Poly:
             return self
         if not self._terms and sign > 0:
             return other
-        merged = dict(self._terms)
-        for e, c in other._terms:
-            if sign < 0:
-                c = -c
-            merged[e] = merged[e] + c if e in merged else c
+        merged = _terms_sum(dict(self._terms), dict(other._terms), sign)
         return Poly._of(self.nvars, _sorted_terms(merged))
 
     def __add__(self, other):
@@ -318,13 +320,8 @@ class Poly:
             return self._scaled(other._terms[0][1])
         if self.is_constant:
             return other._scaled(self._terms[0][1])
-        acc: dict = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                e = tuple(map(operator.add, e1, e2))
-                c = c1 * c2
-                acc[e] = acc[e] + c if e in acc else c
-        return Poly._of(self.nvars, _sorted_terms(acc))
+        product = _terms_product(dict(self._terms), dict(other._terms))
+        return Poly._of(self.nvars, _sorted_terms(product))
 
     __rmul__ = __mul__
 
@@ -343,15 +340,9 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial powers are not supported")
-        result = Poly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        if k == 1:
+            return self
+        return Poly._of(self.nvars, _sorted_terms(_terms_power(dict(self.terms), k, self.nvars)))
 
     def __eq__(self, other):
         if not isinstance(other, Poly) or self.nvars != other.nvars:
@@ -416,6 +407,44 @@ def _sorted_terms(acc: dict) -> Tuple[Tuple[Exponents, Coefficient], ...]:
             reverse=True,
         )
     )
+
+
+# The sparse term kernel on exponent -> coefficient dicts.  A result may
+# hold zero or non-canonical coefficients until ``_sorted_terms`` reads it.
+Terms = Dict[Exponents, Coefficient]
+
+
+def _terms_sum(a: Terms, b: Terms, sign: int = 1) -> Terms:
+    """``a + b``, or ``a - b`` for a negative ``sign``."""
+    out = dict(a)
+    for e, c in b.items():
+        if sign < 0:
+            c = -c
+        out[e] = out[e] + c if e in out else c
+    return out
+
+
+def _terms_product(a: Terms, b: Terms) -> Terms:
+    """``a * b``."""
+    out: Terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            c = c1 * c2
+            out[e] = out[e] + c if e in out else c
+    return out
+
+
+def _terms_power(a: Terms, k: int, nvars: int) -> Terms:
+    """``a ** k`` for ``k >= 0`` by repeated squaring."""
+    result: Terms = {(0,) * nvars: 1}
+    while k:
+        if k & 1:
+            result = _terms_product(result, a)
+        k >>= 1
+        if k:
+            a = _terms_product(a, a)
+    return result
 
 
 def _integral(c: Coefficient) -> Coefficient:
@@ -1000,6 +1029,17 @@ def make_factor(element, ring: RingDescriptor, multiplicity: int = 1) -> Factor:
 def integer_factors(n: int, ring: RingDescriptor) -> Tuple[Factor, ...]:
     """Split an integer into prime ``Factor``s (Int rings only)."""
     return tuple(make_factor(p, ring, m) for p, m in factor_integer(n))
+
+
+def lcm_factors(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
+    """The lcm of factor lists, chained: each element once, as its first
+    factor of largest multiplicity, in ``canonical_key`` order."""
+    merged: Dict[RingElement, Factor] = {}
+    for f in factors:
+        old = merged.get(f.element)
+        if old is None or f.multiplicity > old.multiplicity:
+            merged[f.element] = f
+    return tuple(sorted(merged.values(), key=_factor_key))
 
 
 # ---------------------------------------------------------------------------

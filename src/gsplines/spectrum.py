@@ -70,13 +70,10 @@ class BaseChangeCheck:
 
 
 def fiber_over(g: EdgeLabeledGraph, p: Union[Factor, RingElement]):
-    """Partition of the vertices into classes glued over the factor ``p``."""
+    """Partition of the vertices into classes glued over the factor ``p``,
+    by its gluing links (``_links_of``) and the generic ones."""
     element = normalized_associate(p.element if isinstance(p, Factor) else p, g.ring.base())
-    pairs = [
-        (e.a, e.b)
-        for e in g.edges
-        if e.label.is_zero or any(f.element == element for f in e.label.factors)
-    ]
+    pairs = [(a, b) for a, b, q in _links_of(g) if q == GENERIC or q == element]
     return _partition(g.vertices, pairs)
 
 

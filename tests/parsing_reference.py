@@ -1,12 +1,15 @@
-"""The parser's plain reference: the same grammar, evaluated with ``Poly``
-arithmetic.
+"""The parser's plain reference: the same grammar, evaluated with the
+reference polynomial arithmetic of ``poly_reference``.
 
-Every ``+``, ``-``, ``*`` and ``^`` builds a canonical ``Poly`` (``^``
-through ``Poly.__pow__``), and every constant starts as a ``Fraction``.
-``gsplines.parse_element`` evaluates on term dicts instead; on every input
-both must return equal elements or raise the same error, with the same
-message and position.  Naturals are ASCII digits here too, so non-ASCII
-digits are unexpected characters in both.
+Every ``+`` and ``-`` is ``poly_reference.plus``, every ``*`` is
+``poly_reference.times``, and ``^`` is this module's own loop of repeated
+squaring on ``times``; every constant starts as a ``Fraction``.
+``gsplines.parse_element`` evaluates with the term kernel of
+``gsplines.rings``, which ``Poly``'s own several-variable operators and its
+``**`` also run, so the reference uses none of them.  On every input both
+must return equal elements or raise the same error, with the same message
+and position.  Naturals are ASCII digits here too, so non-ASCII digits are
+unexpected characters in both.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import List, Tuple
 
 from gsplines.errors import ParseError, UnknownVariable
 from gsplines.rings import INT, MODINT, Poly, Residue, RingDescriptor, RingElement
+from poly_reference import neg, plus, times
 
 _SYMBOLS = "+-*^()/"
 _DIGITS = "0123456789"
@@ -89,7 +93,7 @@ class _Parser:
             if kind == "OP" and tok in "+-":
                 self._advance()
                 rhs = self.term()
-                value = value + rhs if tok == "+" else value - rhs
+                value = plus(value, rhs, 1 if tok == "+" else -1)
             else:
                 return value
 
@@ -99,7 +103,7 @@ class _Parser:
             kind, tok, _ = self.current
             if kind == "OP" and tok == "*":
                 self._advance()
-                value = value * self.factor()
+                value = times(value, self.factor())
             else:
                 return value
 
@@ -108,7 +112,14 @@ class _Parser:
         kind, tok, _ = self.current
         if kind == "OP" and tok == "^":
             self._advance()
-            value = value ** self._natural()
+            k, result = self._natural(), Poly.const(self.nvars, 1)
+            while k:
+                if k & 1:
+                    result = times(result, value)
+                k >>= 1
+                if k:
+                    value = times(value, value)
+            return result
         return value
 
     def base(self) -> Poly:
@@ -132,7 +143,7 @@ class _Parser:
             return value
         if kind == "OP" and tok == "-":
             self._advance()
-            return -self.base()
+            return neg(self.base())
         raise ParseError(
             f"unexpected token {tok!r}" if tok else "unexpected end of input",
             at,

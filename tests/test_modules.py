@@ -768,6 +768,7 @@ def test_trace_text_of_a_relinked_trace():
     relinked = dataclasses.replace(trace, steps=(replaced,) + trace.steps[1:])
     assert isinstance(trace.steps[1], LeafPullback) and trace.steps[1].before is first
     for t in (trace, relinked):
+        assert list(t.matrices_after()) == [step.matrix_after for step in t.steps]
         assert render_trace_text(g, t) == _trace_text_reference(g, t)
     assert render_trace_text(g, relinked) != render_trace_text(g, trace)
 
@@ -1111,6 +1112,21 @@ def test_every_step_matrix_is_the_walked_subgraphs_module(g):
 def test_trace_text_prints_each_step_matrix(g):
     for trace in incremental_assembled(g)[1]:
         assert render_trace_text(g, trace) == _trace_text_reference(g, trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        connected_graphs(ZZ, int_labels()),
+        connected_graphs(QX, qx_labels()),
+        st.builds(reduce_mod, connected_graphs(ZZ, int_labels()), st.integers(2, 30)),
+    )
+)
+def test_forward_pass_yields_each_step_matrix(g):
+    """``LimitTrace.matrices_after`` extends one running matrix by each leaf;
+    every matrix it yields is that step's own ``matrix_after``."""
+    for trace in incremental_assembled(g)[1]:
+        assert list(trace.matrices_after()) == [step.matrix_after for step in trace.steps]
 
 
 @st.composite
