@@ -79,13 +79,6 @@ def cmd_verify(args) -> int:
         direct if incremental_module == direct_module else spline_set(incremental_module)
     )
     agree = brute == direct == incremental
-    if agree:
-        text = f"brute force = direct = incremental: {len(brute)} splines"
-    else:
-        text = (
-            "MISMATCH: "
-            f"brute force {len(brute)}, direct {len(direct)}, incremental {len(incremental)}"
-        )
     payload = {
         "modulus": args.mod,
         "bruteForce": len(brute),
@@ -93,8 +86,31 @@ def cmd_verify(args) -> int:
         "incremental": len(incremental),
         "agree": agree,
     }
+    if agree:
+        _emit(args, f"brute force = direct = incremental: {len(brute)} splines", payload)
+        return 0
+    # The paths that disagree with brute force, and the least value tuple on
+    # which one of them does, with the side that holds it.
+    spans = {"direct": direct, "incremental": incremental}
+    paths = [p for p, spanned in spans.items() if spanned != brute]
+    witness = min(min(brute ^ spans[p]) for p in paths)
+    odd = [p for p in paths if (witness in spans[p]) != (witness in brute)]
+    held, missing = (["bruteForce"], odd) if witness in brute else (odd, ["bruteForce"])
+    payload["paths"] = paths
+    payload["witness"] = {"values": list(witness), "heldBy": held, "missingFrom": missing}
+    names = {"bruteForce": "brute force"}
+    text = "\n".join(
+        [
+            "MISMATCH: "
+            f"brute force {len(brute)}, direct {len(direct)}, incremental {len(incremental)}",
+            f"disagreeing with brute force: {', '.join(paths)}",
+            f"witness ({', '.join(gn.vertices)}) = ({', '.join(map(str, witness))}): "
+            f"in {' and '.join(names.get(h, h) for h in held)}; "
+            f"missing from {' and '.join(names.get(m, m) for m in missing)}",
+        ]
+    )
     _emit(args, text, payload)
-    return 0 if agree else 1
+    return 1
 
 
 def cmd_restrict(args) -> int:

@@ -8,9 +8,10 @@ all splines is computed three ways:
   extending by a new leaf vertex or imposing one further congruence,
 * ``solve_direct`` runs the same build's leaf pullbacks along a spanning
   tree and imposes the other edges, the chords, at once,
-* ``bruteforce_values`` lists every labeling over a residue ring
-  (``enumerate_bruteforce`` as ``Spline``s, each backed by its row of
-  values rather than a dict).
+* ``bruteforce_values`` lists every labeling over a residue ring, and
+  ``enumerate_bruteforce`` lists them as ``Spline``s; one search serves
+  both and builds each row once, in the type its caller returns (ints, or
+  the shared ``Residue``s a row-backed ``Spline`` holds).
 
 The solvers are one walk, ``_grow``, that differs only in imposing the
 chords together or one at a time, and a trace replays through it too;
@@ -106,10 +107,10 @@ class Spline:
 
     Immutable, and equal to another ``Spline`` exactly when their graphs
     and ``values`` are equal; like the mapping it holds, it has no hash.
-    ``Spline(graph, values)`` keeps the caller's mapping.  ``_of_row``
-    keeps a row of values in ``graph.vertices`` order instead, one tuple
-    per spline for brute force: ``values`` is derived from the row on first
-    read and kept, as ``Poly`` keeps the ``terms`` it derives, and
+    ``Spline(graph, values)`` keeps the caller's mapping.  A spline from
+    ``enumerate_bruteforce`` keeps a row of values in ``graph.vertices``
+    order instead, one tuple per spline: ``values`` is derived from the row
+    on first read and kept, as ``Poly`` keeps the ``terms`` it derives, and
     ``value_tuple`` in the graph's vertex order is the row itself.  An
     assignment raises ``FrozenInstanceError``, and ``repr`` prints
     ``Spline(graph=..., values=...)``.
@@ -124,14 +125,6 @@ class Spline:
         _set_values(self, values)
         _set_row(self, None)
 
-    @classmethod
-    def _of_row(cls, graph: EdgeLabeledGraph, row: Vector) -> "Spline":
-        """The spline with ``row[i]`` at ``graph.vertices[i]``."""
-        s = object.__new__(cls)
-        _set_graph(s, graph)
-        _set_row(s, row)
-        return s
-
     @property
     def values(self) -> Dict[str, RingElement]:
         try:
@@ -143,7 +136,7 @@ class Spline:
 
     def value_tuple(self, order: Sequence[str]) -> Vector:
         row = self._row
-        if row is not None and order == self.graph.vertices:
+        if row is not None and (order is self.graph.vertices or order == self.graph.vertices):
             return row
         return tuple(map(self.values.__getitem__, order))
 
@@ -769,22 +762,54 @@ def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
     """The value tuples, in ``g.vertices`` order, of every labeling over a
     residue ring passing the congruence check.
 
-    A search along ``g.vertices``: prefixes of values grow one vertex at a
-    time, and each edge congruence ``m | x_i - x_j`` is checked at its later
-    endpoint, as soon as both values exist, so a prefix that already breaks
-    one is never extended.  The modulus is ``m = gen or n`` for the edge's
-    stored generator (``edge_modulus``); edges of modulus 1 impose nothing
-    and are skipped.  Every ``m`` divides ``n``, so the values a prefix
-    admits at a vertex are ``x0, x0 + M, ...`` below ``n`` with ``M`` the
-    lcm of the moduli checked there: ``x0`` is searched in ``[0, M)`` only,
-    along the first congruence's class, and a prefix whose congruences
-    disagree is dropped; with one congruence ``x0`` is that class's own.
-    Values come in increasing order, so the output is in lexicographic
-    order of the value tuples, exactly the order of the full ``n^|V|``
-    product.  The search reads only the edges: neither pivots nor any
-    Hermite structure, and no solver.
+    ``_bruteforce_rows`` with the values as ints: each tuple is built once,
+    by extending its prefix at the last vertex.
 
     Guarded at ``n^|V| <= 10**7``.
+    """
+    return _bruteforce_rows(g, residues=False)
+
+
+def enumerate_bruteforce(g: EdgeLabeledGraph) -> List[Spline]:
+    """``bruteforce_values`` as ``Spline``s, in the same order.
+
+    The same search emits each row once, as a tuple of ``Residue``s shared
+    across splines, and each ``Spline`` is backed by its row (see
+    ``Spline``): no int row is built for a spline, and none is remapped.
+    """
+    rows = _bruteforce_rows(g, residues=True)
+    new = object.__new__
+    splines = []
+    append = splines.append
+    for row in rows:
+        s = new(Spline)
+        _set_graph(s, g)
+        _set_row(s, row)
+        append(s)
+    return splines
+
+
+def _bruteforce_rows(g: EdgeLabeledGraph, residues: bool) -> list:
+    """The search behind ``bruteforce_values`` and ``enumerate_bruteforce``.
+
+    Prefixes of int values grow along ``g.vertices``, and each edge
+    congruence ``m | x_i - x_j`` is checked at its later endpoint, as soon
+    as both values exist, so a prefix that already breaks one is never
+    extended.  The modulus is ``m = gen or n`` for the edge's stored
+    generator (``edge_modulus``); edges of modulus 1 impose nothing and are
+    skipped.  Every ``m`` divides ``n``, so the values a prefix admits at a
+    vertex are ``x0, x0 + M, ...`` below ``n`` with ``M`` the lcm of the
+    moduli checked there: ``x0`` is searched in ``[0, M)`` only, along the
+    first congruence's class, and a prefix whose congruences disagree is
+    dropped; with one congruence ``x0`` is that class's own.  Values come in
+    increasing order, so the rows are in lexicographic order of the value
+    tuples, exactly the order of the full ``n^|V|`` product.
+
+    At the last vertex each surviving prefix is lifted once into the row's
+    type and extended by one-value tuples from a table, so each row is
+    built once: ints stay ints, and with ``residues`` every value becomes
+    the one ``Residue`` the table holds for it.  The search reads only the
+    edges: neither pivots nor any Hermite structure, and no solver.
     """
     if g.ring.kind != MODINT:
         raise UnsupportedRing("brute-force enumeration needs a residue ring")
@@ -792,6 +817,8 @@ def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
     nv = len(g.vertices)
     if n**nv > _ENUMERATION_GUARD:
         raise TooLarge(f"{n}^{nv} labelings exceed the enumeration guard")
+    if not nv:
+        return [()]
     index = {v: i for i, v in enumerate(g.vertices)}
     # checks[k]: the (earlier vertex, modulus) pairs checked at vertex k.
     checks: List[List[Tuple[int, int]]] = [[] for _ in range(nv)]
@@ -800,35 +827,40 @@ def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
         m = gen or n
         if i != j and m != 1:
             checks[j].append((i, m))
+    # An int prefix lifts by ``tuple``, which returns a tuple itself.
+    ints = [(x,) for x in range(n)]
     prefixes: List[Tuple[int, ...]] = [()]
-    for at in checks:
-        if not at:
-            prefixes = [p + (x,) for p in prefixes for x in range(n)]
-            continue
-        # The first congruence fixes x modulo m0; all of them, if they
-        # agree, fix x modulo step = lcm(m_i), a divisor of n, so at most
-        # one x0 in [0, step) passes.
-        (i0, m0), rest = at[0], at[1:]
-        step = lcm(*(m for _, m in at))
-        prefixes = [
-            p + (x,)
-            for p in prefixes
-            for x0 in range(p[i0] % m0, step, m0)
-            if all((x0 - p[i]) % m == 0 for i, m in rest)
-            for x in range(x0, n, step)
-        ]
-    return prefixes
+    for at in checks[:-1]:
+        prefixes = _admit(prefixes, at, ints, tuple)
+    if not residues:
+        return _admit(prefixes, checks[-1], ints, tuple)
+    # One shared Residue per value.
+    table = [Residue(x, n) for x in range(n)]
+    lift = table.__getitem__
+    return _admit(prefixes, checks[-1], [(r,) for r in table], lambda p: tuple(map(lift, p)))
 
 
-def enumerate_bruteforce(g: EdgeLabeledGraph) -> List[Spline]:
-    """``bruteforce_values`` as ``Spline``s, in the same order; each is
-    row-backed (``Spline._of_row``), on residues shared across splines."""
-    values = bruteforce_values(g)
-    n = g.ring.modulus
-    # One shared Residue per value; every value occurs at the first vertex.
-    table = [Residue(x, n) for x in range(n)] if g.vertices else []
-    of_row = Spline._of_row
-    return [of_row(g, tuple(map(table.__getitem__, p))) for p in values]
+def _admit(prefixes, at, ones, lift):
+    """Each prefix, through ``lift``, extended by every value that passes
+    the congruences ``at``; ``ones[x]`` is the one-value tuple of ``x``.
+
+    ``lift`` runs once per prefix that admits a value: the first congruence
+    fixes x modulo m0, and all of them, if they agree, fix x modulo
+    ``step = lcm(m_i)``, a divisor of n, so at most one x0 in [0, step)
+    passes.
+    """
+    if not at:
+        return [q + x for p in prefixes for q in (lift(p),) for x in ones]
+    (i0, m0), rest = at[0], at[1:]
+    step = lcm(*(m for _, m in at))
+    return [
+        q + x
+        for p in prefixes
+        for x0 in range(p[i0] % m0, step, m0)
+        if all((x0 - p[i]) % m == 0 for i, m in rest)
+        for q in (lift(p),)
+        for x in ones[x0::step]
+    ]
 
 
 def spline_set(module: SplineModule) -> frozenset:

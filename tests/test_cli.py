@@ -253,6 +253,82 @@ def test_verify_enumerates_both_when_modules_differ(capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def _planted(real, change):
+    """``real`` with its module's rows passed through ``change``."""
+
+    def planted(g):
+        out = real(g)
+        m = out[0] if isinstance(out, tuple) else out
+        rows, pivots = change(m.rows, m.pivots)
+        planted_module = SplineModule(m.graph, m.vertex_order, rows, pivots)
+        return (planted_module,) + out[1:] if isinstance(out, tuple) else planted_module
+
+    return planted
+
+
+def _missing_last_row(rows, pivots):
+    return rows[:-1], pivots[:-1]
+
+
+def _wrong_last_row(rows, pivots):
+    # (0, 0, 1) breaks the congruence mod 5 on the edge v ~ w.
+    return rows[:-1] + (tuple(Residue(x, 15) for x in (0, 0, 1)),), pivots
+
+
+def test_verify_names_a_path_missing_a_row(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_direct", _planted(cli.solve_direct, _missing_last_row))
+    code, out, _ = run(capsys, "verify", PATH, "--mod", "15")
+    assert code == 1
+    assert out == (
+        "MISMATCH: brute force 225, direct 75, incremental 225\n"
+        "disagreeing with brute force: direct\n"
+        "witness (u, v, w) = (0, 0, 5): in brute force; missing from direct\n"
+    )
+
+
+def test_verify_names_a_path_with_a_wrong_row(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "incremental_assembled", _planted(cli.incremental_assembled, _wrong_last_row)
+    )
+    code, out, _ = run(capsys, "verify", PATH, "--mod", "15", "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "modulus": 15,
+        "bruteForce": 225,
+        "direct": 225,
+        "incremental": 1125,
+        "agree": False,
+        "paths": ["incremental"],
+        "witness": {"values": [0, 0, 1], "heldBy": ["incremental"], "missingFrom": ["bruteForce"]},
+    }
+
+
+def test_verify_witness_is_the_least_tuple_over_both_paths(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_direct", _planted(cli.solve_direct, _missing_last_row))
+    monkeypatch.setattr(
+        cli, "incremental_assembled", _planted(cli.incremental_assembled, _wrong_last_row)
+    )
+    code, out, _ = run(capsys, "verify", PATH, "--mod", "15", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["paths"] == ["direct", "incremental"]
+    # (0, 0, 1) precedes direct's own witness (0, 0, 5); direct agrees with
+    # brute force on it, so only the incremental path holds it.
+    assert payload["witness"] == {
+        "values": [0, 0, 1],
+        "heldBy": ["incremental"],
+        "missingFrom": ["bruteForce"],
+    }
+
+
+def test_verify_keeps_its_keys_on_agreement(capsys):
+    code, out, _ = run(capsys, "verify", TRIANGLE, "--mod", "105", "--json")
+    assert code == 0
+    assert out == formats.dump_json(
+        {"modulus": 105, "bruteForce": 11025, "direct": 11025, "incremental": 11025, "agree": True}
+    ) + "\n"
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(*_):
         raise InternalError("invariant broken")

@@ -826,12 +826,46 @@ def test_residue_three_way_agreement_property(g):
 
 @settings(max_examples=60, deadline=None)
 @given(residue_graphs())
+# The last vertex meets no congruence.
+@example(reduce_mod(int_graph(["a", "b", "c"], [("a", "b", 2)]), 6))
+# c = a mod 2 and c = b mod 4 disagree when a and b differ in parity, so
+# those prefixes emit nothing.
+@example(reduce_mod(int_graph(["a", "b", "c"], [("a", "c", 2), ("b", "c", 4)]), 8))
+# A zero label imposes modulus n: the last value repeats the first.
+@example(reduce_mod(int_graph(["a", "b"], [("a", "b", 0)]), 6))
+@example(EdgeLabeledGraph(RingDescriptor.residues(5), (), ()))
+@example(EdgeLabeledGraph(RingDescriptor.residues(5), ("v",), ()))
 def test_bruteforce_splines_equal_dict_splines_property(g):
     values = bruteforce_values(g)
     assert values == product_bruteforce(g)
     n = g.ring.modulus
     expected = [Spline(g, {v: Residue(x, n) for v, x in zip(g.vertices, t)}) for t in values]
     assert enumerate_bruteforce(g) == expected
+    assert value_list(g) == values
+
+
+def test_bruteforce_rows_are_built_once_on_shared_residues():
+    # 20^4 = 160,000 labelings, all splines.  The result holds one row and
+    # one Spline per labeling; the search's prefixes and the row list it
+    # wraps add at most a fifth to that at the peak.
+    g = EdgeLabeledGraph(RingDescriptor.residues(20), ("a", "b", "c", "d"), ())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        splines = enumerate_bruteforce(g)
+        retained, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(splines) == 20**4
+    assert peak <= 1.2 * retained
+    shared = {}
+    for s in splines:
+        row = s.value_tuple(g.vertices)
+        assert row is s._row
+        for x in row:
+            assert shared.setdefault(x.value, x) is x
+    assert shared == {x: Residue(x, 20) for x in range(20)}
 
 
 QX_FACTORS = ("x", "x-1", "x+2", "x^2+1", "2*x-3")
