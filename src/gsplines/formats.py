@@ -20,6 +20,7 @@ All emitted text is UTF-8 with LF line endings and byte-stable across runs.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from typing import Callable, Dict, Sequence, Tuple
 
 from .certificates import BasicOpen, CertificateReport, CoverStatus
@@ -54,9 +55,13 @@ def _expect(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _unknown_fields(obj: dict, allowed: Sequence[str], where: str) -> SchemaError:
+    return SchemaError(f"unknown field(s) {sorted(set(obj) - set(allowed))} in {where}")
+
+
 def _only_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
-    extra = set(obj) - set(allowed)
-    _expect(not extra, f"unknown field(s) {sorted(extra)} in {where}")
+    if not obj.keys() <= set(allowed):
+        raise _unknown_fields(obj, allowed, where)
 
 
 def parse_factor_text(text: str, ring: RingDescriptor) -> Tuple[Factor, ...]:
@@ -150,22 +155,31 @@ def ring_to_json(ring: RingDescriptor) -> dict:
 # graphs
 
 
-def _label_from_json(obj: dict, ring: RingDescriptor, where: str, parse: _Parse) -> FactoredElement:
-    _expect(isinstance(obj, dict), f"{where}: 'label' must be an object")
-    _only_keys(obj, ("factors", "zero"), where)
+# Checked once per edge, so their error texts are built only on failure.
+_EDGE_KEYS = frozenset(("ends", "label"))
+_LABEL_KEYS = frozenset(("factors", "zero"))
+
+
+def _label_from_json(obj: dict, ring: RingDescriptor, i: int, parse: _Parse) -> FactoredElement:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"edges[{i}]: 'label' must be an object")
+    if not obj.keys() <= _LABEL_KEYS:
+        raise _unknown_fields(obj, _LABEL_KEYS, f"edges[{i}]")
     if obj.get("zero"):
-        _expect("factors" not in obj, f"{where}: a zero label carries no factors")
+        if "factors" in obj:
+            raise SchemaError(f"edges[{i}]: a zero label carries no factors")
         return FactoredElement.zero()
     factors = obj.get("factors")
-    _expect(isinstance(factors, list), f"{where}: 'label.factors' must be a list")
+    if not isinstance(factors, list):
+        raise SchemaError(f"edges[{i}]: 'label.factors' must be a list")
     merged: Dict[RingElement, Factor] = {}
     value = 1
     for item in factors:
-        _expect(
+        if not (
             isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
-            and isinstance(item[1], int) and item[1] >= 1,
-            f"{where}: each factor must be [\"text\", multiplicity]",
-        )
+            and isinstance(item[1], int) and item[1] >= 1
+        ):
+            raise SchemaError(f"edges[{i}]: each factor must be [\"text\", multiplicity]")
         text, mult = item
         if ring.kind == MODINT:
             n = ring.modulus
@@ -196,16 +210,19 @@ def graph_from_json(obj: dict) -> EdgeLabeledGraph:
     edges = []
     parse = _parse_once(ring)
     for i, e in enumerate(raw_edges):
-        where = f"edges[{i}]"
-        _expect(isinstance(e, dict), f"{where} must be an object")
-        _only_keys(e, ("ends", "label"), where)
+        if not isinstance(e, dict):
+            raise SchemaError(f"edges[{i}] must be an object")
+        if not e.keys() <= _EDGE_KEYS:
+            raise _unknown_fields(e, _EDGE_KEYS, f"edges[{i}]")
         ends = e.get("ends")
-        _expect(
-            isinstance(ends, list) and len(ends) == 2 and all(isinstance(x, str) for x in ends),
-            f"{where}: 'ends' must be a pair of vertex names",
-        )
-        _expect("label" in e, f"{where}: missing 'label'")
-        label = _label_from_json(e["label"], ring, where, parse)
+        if not (
+            isinstance(ends, list) and len(ends) == 2
+            and isinstance(ends[0], str) and isinstance(ends[1], str)
+        ):
+            raise SchemaError(f"edges[{i}]: 'ends' must be a pair of vertex names")
+        if "label" not in e:
+            raise SchemaError(f"edges[{i}]: missing 'label'")
+        label = _label_from_json(e["label"], ring, i, parse)
         edges.append((ends[0], ends[1], label))
     return normalize(ring, vertices, edges)
 
@@ -474,5 +491,51 @@ def render_certificate_text(report: CertificateReport) -> str:
     return "\n".join(lines)
 
 
+# ---------------------------------------------------------------------------
+# JSON
+
+
 def dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False)
+    """``obj`` as JSON: the same bytes as ``json.dumps(obj, indent=2,
+    ensure_ascii=False)``.
+
+    Strings and keys go through ``encode_basestring``, the C function the
+    standard encoder calls; other scalars through ``json.dumps``.  With an
+    indent the standard library runs its pure-Python encoder, whose nested
+    closures leave a reference cycle per call; this writer is plain
+    recursion and creates none.
+    """
+    return _json_value(obj, "\n")
+
+
+def _json_value(obj, newline: str) -> str:
+    kind = type(obj)
+    if kind is not dict and kind is not list and kind is not tuple:
+        if isinstance(obj, str):
+            return encode_basestring(obj)
+        if not isinstance(obj, (dict, list, tuple)):
+            return json.dumps(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{encode_basestring(k) if type(k) is str else _json_key(k)}: "
+            f"{encode_basestring(v) if type(v) is str else _json_value(v, inner)}"
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if not obj:
+        return "[]"
+    items = [encode_basestring(v) if type(v) is str else _json_value(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _json_key(key) -> str:
+    """A key as ``json.dumps`` writes it: numbers, booleans and ``None``
+    become their JSON text, quoted."""
+    if isinstance(key, str):
+        return encode_basestring(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")

@@ -501,6 +501,22 @@ def test_certify_hexpoly(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("certify", HEXPOLY, "--opens", HEXPOLY_OPENS), "certificate_hexpoly_golden.json"),
+        (("basis", TRIANGLE), "basis_triangle_golden.json"),
+        (("basis", ZERO_CHORD, "--incremental"), "basis_zero_chord_incremental_golden.json"),
+        (("verify", TRIANGLE, "--mod", "105"), "verify_triangle_105_golden.json"),
+    ],
+)
+def test_json_output_matches_golden_bytes(capsys, argv, golden):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    with open(fixture_path(golden), "rb") as fh:
+        assert out.encode("utf-8") == fh.read()
+
+
 def test_delete_edge_with_diff(capsys):
     code, out, _ = run(capsys, "delete-edge", TRIANGLE, "--edge", "u,v", "--emit-diff")
     assert code == 0
