@@ -10,6 +10,7 @@ from .errors import (
     ComputationError,
     InputError,
     InternalError,
+    InvalidValue,
     MixedRings,
     NoSuchEdge,
     NoSuchVertex,

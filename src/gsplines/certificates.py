@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .errors import UnsupportedRing
+from .errors import InvalidValue, UnsupportedRing
 from .graphs import EdgeLabeledGraph, RestrictionOutcome, restrict
 from .rings import (
     INT,
@@ -53,7 +53,7 @@ class BasicOpen:
 
     def __post_init__(self):
         if not self.invert:
-            raise ValueError(f"open {self.name!r} must invert at least one factor")
+            raise InvalidValue(f"open {self.name!r} must invert at least one factor")
         if len({f.element for f in self.invert}) != len(self.invert):
             raise ValueError(f"open {self.name!r} repeats a factor")
 

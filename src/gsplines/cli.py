@@ -3,8 +3,9 @@
 One command per invocation; graphs come from JSON files (see ``formats``).
 Exit codes: 0 success, 1 computational failure (unsupported ring, size
 guard tripped, an integer beyond the factorization limits), 2 input errors
-(parse, schema, missing files, unknown flags), 3 internal errors (a broken
-invariant of the engine).
+(parse, schema, missing files, unknown flags, refused values), 3 internal
+errors (a broken invariant of the engine, or a ``ValueError`` or
+``ZeroDivisionError`` that no input check raised).
 """
 
 from __future__ import annotations
@@ -281,13 +282,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, ZeroDivisionError) as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ComputationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except InternalError as err:
+    except (InternalError, ValueError, ZeroDivisionError) as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
 

@@ -15,6 +15,12 @@ class InputError(SplineError):
     """Malformed input: files, expressions, graph data, schemas."""
 
 
+class InvalidValue(InputError, ValueError):
+    """A value from a file or a flag that a check refuses: a vertex order,
+    a modulus, a variable name, a factor, an open.  It is a ``ValueError``
+    too, so a caller that catches that type still does."""
+
+
 class ComputationError(SplineError):
     """Valid input on which the requested computation cannot proceed."""
 

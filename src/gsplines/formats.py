@@ -255,6 +255,8 @@ def _read_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as err:
             raise SchemaError(f"{path} is not valid JSON: {err}") from None
+        except ValueError as err:  # bytes that are not UTF-8, an integer past the digit limit
+            raise SchemaError(str(err)) from None
 
 
 def load_graph(path: str) -> EdgeLabeledGraph:

@@ -4,10 +4,10 @@ A spline assigns a ring element to every vertex so that across each edge
 the difference of endpoint values lies in the edge's ideal.  The module of
 all splines is computed three ways:
 
-* ``incremental_assembled`` grows each component's module edge by edge,
-  extending by a new leaf vertex or imposing one further congruence,
-* ``solve_direct`` runs the same build's leaf pullbacks along a spanning
-  tree and imposes the other edges, the chords, at once,
+* ``incremental_assembled`` grows the module edge by edge, extending by a
+  new leaf vertex or imposing one further congruence,
+* ``solve_direct`` runs the same build's leaf pullbacks, one per vertex,
+  and imposes the other edges, the chords, at once,
 * ``bruteforce_values`` lists every labeling over a residue ring, and
   ``enumerate_bruteforce`` lists them as ``Spline``s; one search serves
   both and builds each row once, in the type its caller returns (ints, or
@@ -17,10 +17,13 @@ The solvers are one walk, ``_grow``, that differs only in imposing the
 chords together or one at a time, and a trace replays through it too;
 brute force, and the tests' plain references (every edge imposed on the
 coordinate vectors), keep the checks independent.  The walk has two
-entries: ``_by_component``, which walks each connected component along its
-default insertion order, and ``replay_trace``.  So an edge that touches no
-built vertex can come only from a broken trace, and raises
-``InternalError``.
+entries: ``_walk``, which visits the vertices of the whole graph in the
+requested order, and ``replay_trace``.  Each vertex after the first is a
+leaf on its earliest-declared edge to a vertex before it, or on the unit
+ideal from the first vertex when it has none, so the built vertices are a
+prefix of the order and the rows are canonical in it after every step.  An
+edge that touches no built vertex can then come only from a broken trace,
+and raises ``InternalError``.
 
 The solvers compute over a Euclidean ring: ``Int``, univariate ``Q[x]``,
 or ``Int`` for the residue ring ``Z/n``.  Each edge enters as its generator
@@ -53,7 +56,7 @@ Hermite core take whatever route costs least to reach it:
   the other, and uses the extended-gcd transform otherwise; the values are
   pivot entries in ``hermite_rows`` and edge differences in ``_sweep``,
 * ``_impose`` cuts a triangular module down by edge congruences (all of a
-  component's chords, or one equalizer's edge) with one ``_sweep`` up the
+  graph's chords, or one equalizer's edge) with one ``_sweep`` up the
   rows per congruence, which carries one Bezout row and keeps the module
   triangular on its pivot columns,
 * ``_add_pivot_row`` normalizes a pivot and reduces the entries above it,
@@ -75,8 +78,8 @@ from itertools import compress
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import InternalError, TooLarge, UnsupportedRing
-from .graphs import Edge, EdgeLabeledGraph, connected_components
+from .errors import InternalError, InvalidValue, TooLarge, UnsupportedRing
+from .graphs import Edge, EdgeLabeledGraph
 from .rings import (
     INT,
     MODINT,
@@ -532,10 +535,13 @@ def _canonical(
 ) -> SplineModule:
     """The flow-up module of ``g`` generated by ``rows`` over the work ring.
 
-    Over ``Z/n`` the integer rows are completed by ``n`` times each
-    coordinate vector, put in Hermite form over the integers and reduced
-    modulo ``n``.  Rows whose pivot is ``n`` are exactly those adjoined
-    vectors; they vanish modulo ``n`` and are dropped.
+    The solvers' rows arrive canonical in ``order``, so over ``Int`` and
+    ``Q[x]`` the Hermite pass files each in its own column and reduces
+    nothing; ``flow_up_normalize``'s generators may be any.  Over ``Z/n``
+    the integer rows are completed by ``n`` times each coordinate vector,
+    put in Hermite form over the integers and reduced modulo ``n``.  Rows
+    whose pivot is ``n`` are exactly those adjoined vectors; they vanish
+    modulo ``n`` and are dropped.
     """
     ring = g.ring
     width = len(order)
@@ -557,7 +563,7 @@ def _canonical(
 
 
 # ---------------------------------------------------------------------------
-# the diagram walk: leaf pullbacks along a spanning tree, then the chords
+# the diagram walk, in the requested vertex order
 
 
 def _check_vertex_order(g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str]]):
@@ -565,27 +571,8 @@ def _check_vertex_order(g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str
         return g.vertices
     order = tuple(vertex_order)
     if sorted(order) != sorted(g.vertices):
-        raise ValueError("vertex order must be a permutation of the graph's vertices")
+        raise InvalidValue("vertex order must be a permutation of the graph's vertices")
     return order
-
-
-def _default_insertion_order(g: EdgeLabeledGraph) -> List[Edge]:
-    """Earliest-declared edge that touches the already-built component; the
-    edges that reach a new vertex form the direct solver's spanning tree."""
-    remaining = list(g.edges)
-    if not remaining:
-        return []
-    ordered = [remaining.pop(0)]
-    built = {ordered[0].a, ordered[0].b}
-    while remaining:
-        for i, e in enumerate(remaining):
-            if e.a in built or e.b in built:
-                built.update((e.a, e.b))
-                ordered.append(remaining.pop(i))
-                break
-        else:  # components are connected
-            raise InternalError("a component is not connected")
-    return ordered
 
 
 def _step(
@@ -632,7 +619,7 @@ def _step(
             entries = tuple(row[ia] % p for row in rows)
             adjoined = (ring.zero(),) * len(built) + (p,)
         return LeafPullback(new, attach, e.label, built + (new,), entries, adjoined, before)
-    raise InternalError(f"edge {a!r}-{b!r} does not touch the component built so far")
+    raise InternalError(f"edge {a!r}-{b!r} does not touch the module built so far")
 
 
 def _grow(
@@ -678,56 +665,54 @@ def _grow(
     return built, tuple(map(tuple, rows)), steps
 
 
-def _by_component(
+def _walk(
     g: EdgeLabeledGraph, order: Sequence[str], chords_at_once: bool
-) -> Tuple[SplineModule, List[LimitTrace]]:
-    """The module of ``g`` and one trace per connected component: one
-    ``_grow`` per component along its default insertion order, on generators
-    read from ``g.edge_generators`` (a component holds ``g``'s own ``Edge``
-    objects), its rows scattered from the built columns into ``order``'s.
-    The assembled rows leave through ``_canonical``."""
-    ring = work_ring(g.ring)
-    zero = ring.zero()
-    gen_of = dict(zip(map(id, g.edges), g.edge_generators))
+) -> Tuple[Tuple[Vector, ...], List[LimitTrace]]:
+    """``_grow`` over the whole of ``g``, visiting the vertices in ``order``;
+    returns the rows and the one trace (none for a graph without vertices).
+
+    Each vertex after the first is a leaf on its earliest-declared edge to
+    a vertex before it in ``order``.  A vertex with no such edge is a leaf
+    on the unit ideal, attached to the first vertex: the edge ``normalize``
+    would drop, which imposes nothing.  Its other edges to earlier vertices
+    follow as chords.  So the built vertices are always a prefix of
+    ``order``, and the rows are canonical in ``order`` after every step."""
+    if not order:
+        return (), []
     col = {v: i for i, v in enumerate(order)}
-    rows: List[Vector] = []
-    traces: List[LimitTrace] = []
-    for comp in connected_components(g):
-        edges = _default_insertion_order(comp)
-        start = edges[0].a if edges else comp.vertices[0]
-        gens = [gen_of[id(e)] for e in edges]
-        built, comp_rows, steps = _grow(ring, start, edges, gens, chords_at_once)
-        cols = [col[v] for v in built]
-        for vec in comp_rows:
-            row = [zero] * len(order)
-            for c, x in zip(cols, vec):
-                row[c] = x
-            rows.append(tuple(row))
-        traces.append(LimitTrace(start, tuple(steps)))
-    return _canonical(g, order, rows), traces
+    back: List[List[Tuple[Edge, RingElement]]] = [[] for _ in order]
+    for e, gen in zip(g.edges, g.edge_generators):
+        back[max(col[e.a], col[e.b])].append((e, gen))
+    ring = work_ring(g.ring)
+    walk: List[Tuple[Edge, RingElement]] = []
+    for v, earlier in zip(order[1:], back[1:]):
+        walk += earlier or [(Edge(order[0], v, FactoredElement.unit()), ring.one())]
+    edges, gens = zip(*walk) if walk else ((), ())
+    _, rows, steps = _grow(ring, order[0], edges, gens, chords_at_once)
+    return rows, [LimitTrace(order[0], tuple(steps))]
 
 
 def solve_direct(
     g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str]] = None
 ) -> SplineModule:
-    """Flow-up basis of the spline module, solved per connected component.
-
-    Each component is the incremental build's leaf pullbacks along a
-    spanning tree, then one ``_impose`` of every chord, over the work ring
-    (the integers with edge moduli for a residue ring).
+    """Flow-up basis of the spline module: the incremental build's leaf
+    pullbacks in ``vertex_order``, then one ``_impose`` of every chord, over
+    the work ring (the integers with edge moduli for a residue ring).
     """
     order = _check_vertex_order(g, vertex_order)
     _require_euclidean_ring(work_ring(g.ring), "basis computation")
-    return _by_component(g, order, True)[0]
+    return _canonical(g, order, _walk(g, order, True)[0])
 
 
 def incremental_assembled(
     g: EdgeLabeledGraph, vertex_order: Optional[Sequence[str]] = None
 ) -> Tuple[SplineModule, List[LimitTrace]]:
-    """Incremental build per connected component, assembled blockwise."""
+    """The module built one edge at a time in ``vertex_order``, and its one
+    trace."""
     order = _check_vertex_order(g, vertex_order)
     _require_euclidean_ring(work_ring(g.ring), "the incremental builder")
-    return _by_component(g, order, False)
+    rows, traces = _walk(g, order, False)
+    return _canonical(g, order, rows), traces
 
 
 def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:

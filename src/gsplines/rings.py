@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import MixedRings, TooLarge, UnsupportedRing
+from .errors import InvalidValue, MixedRings, TooLarge, UnsupportedRing
 
 INT = "Int"
 MODINT = "ModInt"
@@ -589,17 +589,17 @@ class RingDescriptor:
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == MODINT:
             if self.modulus is None or self.modulus < 2:
-                raise ValueError("ModInt requires a modulus >= 2")
+                raise InvalidValue("ModInt requires a modulus >= 2")
             if self.inverted:
                 raise ValueError("residue rings cannot be localized")
         if self.kind == POLYQ:
             if not self.variables:
                 raise ValueError("PolyQ requires at least one variable")
             if len(set(self.variables)) != len(self.variables):
-                raise ValueError("variable names must be distinct")
+                raise InvalidValue("variable names must be distinct")
             for name in self.variables:
                 if not name.isidentifier():
-                    raise ValueError(f"bad variable name {name!r}")
+                    raise InvalidValue(f"bad variable name {name!r}")
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "inverted", tuple(self.inverted))
 
@@ -870,7 +870,7 @@ def factor_integer(n: int) -> Tuple[Tuple[int, int], ...]:
     """
     n = abs(n)
     if n == 0:
-        raise ValueError("zero has no factorization")
+        raise InvalidValue("zero has no factorization")
     out = []
     for p in (2, 3, 5):
         m = 0
@@ -1005,7 +1005,7 @@ def make_factor(element, ring: RingDescriptor, multiplicity: int = 1) -> Factor:
         raise ValueError("factor multiplicity must be positive")
     element = coerce(element, ring.base())
     if is_zero_element(element):
-        raise ValueError("zero is not a valid factor")
+        raise InvalidValue("zero is not a valid factor")
     element = normalized_associate(element, ring.base())
     if ring.kind == INT:
         if element == 1:
@@ -1016,10 +1016,10 @@ def make_factor(element, ring: RingDescriptor, multiplicity: int = 1) -> Factor:
     if ring.kind == MODINT:
         return Factor(element, multiplicity, DECLARED)
     if element.is_constant:
-        raise ValueError("constants are not valid polynomial factors")
+        raise InvalidValue("constants are not valid polynomial factors")
     if len(element.used_variables()) == 1 and element.degree <= 3:
         if not _poly_irreducible_low_degree(element):
-            raise ValueError(
+            raise InvalidValue(
                 f"'{format_element(element, ring)}' is reducible over the rationals"
             )
         return Factor(element, multiplicity, VERIFIED)

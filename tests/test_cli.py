@@ -77,7 +77,9 @@ def test_basis_of_a_label_with_a_coefficient_of_any_size(capsys):
 def test_basis_zero_chord_golden(capsys):
     # The 4-cycle a-b-c-d-a closes with the zero-labeled chord c-d, and
     # the chord b-d is labeled 4.  Both solvers impose the zero chord as an
-    # equality, after which no row has a nonzero difference on c and d.
+    # equality, after which no row has a nonzero difference on c and d.  The
+    # trace visits the vertices in the printed order: d is a leaf on a-d,
+    # its earliest-declared edge to a, b and c, and then both chords follow.
     code, out, err = run(capsys, "basis", ZERO_CHORD)
     assert (code, err) == (0, "")
     assert out == (
@@ -121,20 +123,20 @@ def test_basis_zero_chord_golden(capsys):
         '    "leaf-pullback: b attached to a via 2*3",\n'
         '    "  [ 1 1 ]",\n'
         '    "  [ 0 6 ]",\n'
-        '    "leaf-pullback: d attached to a via 3*5",\n'
-        '    "  [ 1 1 1 ]",\n'
-        '    "  [ 0 6 0 ]",\n'
-        '    "  [ 0 0 15 ]",\n'
         '    "leaf-pullback: c attached to b via 2*5",\n'
+        '    "  [ 1 1 1 ]",\n'
+        '    "  [ 0 6 6 ]",\n'
+        '    "  [ 0 0 10 ]",\n'
+        '    "leaf-pullback: d attached to a via 3*5",\n'
         '    "  [ 1 1 1 1 ]",\n'
-        '    "  [ 0 6 0 6 ]",\n'
-        '    "  [ 0 0 15 0 ]",\n'
-        '    "  [ 0 0 0 10 ]",\n'
+        '    "  [ 0 6 6 0 ]",\n'
+        '    "  [ 0 0 10 0 ]",\n'
+        '    "  [ 0 0 0 15 ]",\n'
         '    "edge-equalizer: b ~ d via 2^2",\n'
         '    "  [ 1 1 1 1 ]",\n'
-        '    "  [ 0 6 30 6 ]",\n'
-        '    "  [ 0 0 60 0 ]",\n'
-        '    "  [ 0 0 0 10 ]",\n'
+        '    "  [ 0 6 6 30 ]",\n'
+        '    "  [ 0 0 10 0 ]",\n'
+        '    "  [ 0 0 0 60 ]",\n'
         '    "edge-equalizer: c ~ d via 0",\n'
         '    "  [ 1 1 1 1 ]",\n'
         '    "  [ 0 30 30 30 ]",\n'
@@ -170,8 +172,9 @@ def test_basis_incremental_prints_trace(capsys):
 
 def test_basis_forest_interleaved_order_agrees(capsys):
     # Two components and an isolated vertex, in a vertex order that
-    # interleaves them: both solvers print the same basis, and the trace
-    # starts once per component.
+    # interleaves them: both solvers print the same basis, and the one
+    # trace visits the vertices in that order.  A vertex with no edge to
+    # the vertices before it, here d and z, is a leaf on the unit ideal.
     order = "a,d,z,b,e,c,f"
     code, direct, _ = run(capsys, "basis", FOREST, "--vertex-order", order)
     assert code == 0
@@ -180,11 +183,18 @@ def test_basis_forest_interleaved_order_agrees(capsys):
     assert direct.startswith("vertex order: a d z b e c f\n[ 1 0 0 1 0  1  0 ]\n")
     assert incremental.startswith(direct)
     trace = incremental[len(direct):].splitlines()
-    assert [line for line in trace if line.startswith("start:")] == [
+    assert [line for line in trace if not line.startswith("  ")] == [
         "start: a",
-        "start: d",
-        "start: z",
+        "leaf-pullback: d attached to a via 1",
+        "leaf-pullback: z attached to a via 1",
+        "leaf-pullback: b attached to a via 2",
+        "leaf-pullback: e attached to d via 7",
+        "leaf-pullback: c attached to a via 5",
+        "edge-equalizer: b ~ c via 3",
+        "leaf-pullback: f attached to e via 11",
     ]
+    # The last step's matrix is the printed basis, whose columns are padded.
+    assert [line.split() for line in trace[-7:]] == [line.split() for line in direct.splitlines()[1:]]
 
 
 def test_basis_vertex_order_flag(capsys):
@@ -338,6 +348,75 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "invariant broken" in err
+
+
+def _one_edge_graph(ring, text):
+    return {
+        "ring": ring,
+        "vertices": ["u", "v"],
+        "edges": [{"ends": ["u", "v"], "label": {"factors": [[text, 1]]}}],
+    }
+
+
+QX_RING = {"kind": "PolyQ", "variables": ["x"]}
+
+# Inputs that a check refuses, and its message.  Each check raises an
+# ``InputError`` (exit 2); the library's own checks raise ``InvalidValue``,
+# which is also a ``ValueError``.  A dict or bytes argument is a file's
+# content.
+REFUSED = [
+    (("basis", TRIANGLE, "--vertex-order", "u,v"),
+     "vertex order must be a permutation of the graph's vertices"),
+    (("restrict", PATH, "--invert", "0"), "zero has no factorization"),
+    (("verify", TRIANGLE, "--mod", "1"), "ModInt requires a modulus >= 2"),
+    (("basis", _one_edge_graph({"kind": "Int"}, "0")), "zero has no factorization"),
+    (("basis", _one_edge_graph(QX_RING, "0")), "zero is not a valid factor"),
+    (("basis", _one_edge_graph(QX_RING, "2")), "constants are not valid polynomial factors"),
+    (("basis", _one_edge_graph(QX_RING, "x^2-1")), "'x^2 - 1' is reducible over the rationals"),
+    (("basis", {"ring": {"kind": "PolyQ", "variables": ["x", "x"]}, "vertices": ["u"]}),
+     "variable names must be distinct"),
+    (("basis", {"ring": {"kind": "PolyQ", "variables": ["1x"]}, "vertices": ["u"]}),
+     "bad variable name '1x'"),
+    (("basis", {"ring": {"kind": "Int", "inverted": ["0"]}, "vertices": ["u"]}),
+     "zero has no factorization"),
+    (("cover", PATH, "--opens", {"opens": [{"name": "a", "invert": ["1"]}]}),
+     "open 'a' must invert at least one factor"),
+    # Not UTF-8, and a JSON integer past Python's 4,300-digit limit.
+    (("basis", b"\xff\xfe"), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (("basis", b'{"ring": {"kind": "ModInt", "modulus": 1' + b"0" * 5000 + b'}, "vertices": []}'),
+     "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits; "
+     "use sys.set_int_max_str_digits() to increase the limit"),
+]
+
+
+def _refused_argv(argv, tmp_path):
+    """``argv`` with each document, a dict or bytes, written to a file."""
+    out = []
+    for i, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            path = tmp_path / f"arg{i}.json"
+            path.write_bytes(arg if isinstance(arg, bytes) else json.dumps(arg).encode())
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+@pytest.mark.parametrize("argv, message", REFUSED, ids=[m[:32] for _, m in REFUSED])
+def test_refused_values_exit_2(capsys, tmp_path, argv, message):
+    code, out, err = run(capsys, *_refused_argv(argv, tmp_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fault", [ValueError, ZeroDivisionError])
+def test_a_value_error_no_check_raised_exits_3(capsys, monkeypatch, fault):
+    # A ValueError or ZeroDivisionError that escapes the engine is a fault
+    # of the program, not of its input.
+    def broken(*_):
+        raise fault("planted fault")
+
+    monkeypatch.setattr(cli, "solve_direct", broken)
+    code, out, err = run(capsys, "basis", TRIANGLE)
+    assert (code, out, err) == (3, "", "internal error: planted fault\n")
 
 
 def test_basis_incremental_residue_trace_keeps_labels(capsys, tmp_path):

@@ -45,9 +45,11 @@ from gsplines import (
     spline_set,
 )
 from gsplines.modules import (
+    _canonical,
     _grow,
     _impose,
     _step,
+    _walk,
     hermite_rows,
     work_ring,
 )
@@ -275,10 +277,17 @@ def test_incremental_rejects_detached_order():
 
 
 def test_incremental_disconnected_input():
+    # One trace for the whole graph: c has no edge to a or b, so it is a
+    # leaf on the unit ideal from the first vertex, which imposes nothing.
     g = int_graph(["a", "b", "c", "d"], [("a", "b", 3), ("c", "d", 5)])
-    m, traces = incremental_assembled(g)
+    m, (trace,) = incremental_assembled(g)
     assert m.rows == solve_direct(g).rows
-    assert len(traces) == 2
+    assert [(s.new_vertex, s.attach_vertex, format_factored(s.label, ZZ)) for s in trace.steps] == [
+        ("b", "a", "3"),
+        ("c", "a", "1"),
+        ("d", "c", "5"),
+    ]
+    assert trace.steps[-1].matrix_after == m.rows
 
 
 # --- enumerate_bruteforce ---------------------------------------------------------
@@ -1129,8 +1138,13 @@ def test_every_step_matrix_is_the_walked_subgraphs_module(g):
                 ends = (step.attach_vertex, step.new_vertex)
             else:
                 ends = (step.u, step.v)
-            e, gen = by_ends[frozenset(ends)]
-            walked.append(Edge(e.a, e.b, int_label(gen) if work != g.ring else e.label))
+            if frozenset(ends) in by_ends:
+                e, gen = by_ends[frozenset(ends)]
+                walked.append(Edge(e.a, e.b, int_label(gen) if work != g.ring else e.label))
+            else:
+                # A leaf on the unit ideal, where a reduction mod n split
+                # the graph: it imposes nothing.
+                assert isinstance(step, LeafPullback) and step.label.is_unit_ideal()
             sub = EdgeLabeledGraph(work, step.vertices_after, tuple(walked))
             assert step.matrix_after == reference_component_rows(sub, step.vertices_after)
 
@@ -1190,6 +1204,68 @@ def test_disconnected_matches_identity_reference(case):
     expected = reference_component_rows(g, order)
     assert solve_direct(g, order).rows == expected
     assert incremental_assembled(g, order)[0].rows == expected
+
+
+def connected_or_forest(ring, labels):
+    """A connected graph, or a forest of them plus an isolated vertex."""
+    return st.one_of(connected_graphs(ring, labels), forests(ring, labels).map(lambda case: case[0]))
+
+
+@st.composite
+def graphs_in_any_order(draw):
+    """``(graph, order)`` over ``Int``, ``Q[x]`` or ``Z/n``, with zero labels,
+    and ``order`` any permutation of the vertices.  A reduction mod n drops
+    the edges whose label becomes a unit, so it isolates vertices too."""
+    g = draw(st.one_of(
+        connected_or_forest(ZZ, int_labels()),
+        connected_or_forest(QX, qx_labels()),
+        st.builds(reduce_mod, connected_or_forest(ZZ, int_labels()), st.integers(2, 30)),
+    ))
+    return g, tuple(draw(st.permutations(g.vertices)))
+
+
+def residue_reference_rows(g, order):
+    """The canonical rows of a ``Z/n`` graph from the plain references: the
+    integer module of the edge moduli, completed by ``n`` times each
+    coordinate vector, in Hermite form, kept where the pivot is not 0 mod n."""
+    n, width = g.ring.modulus, len(order)
+    lifted = EdgeLabeledGraph(
+        ZZ, g.vertices, tuple(Edge(e.a, e.b, int_label(gen)) for e, gen in zip(g.edges, g.edge_generators))
+    )
+    full = list(reference_component_rows(lifted, order))
+    full += [tuple(n if j == i else 0 for j in range(width)) for i in range(width)]
+    rows, pivots = reference_hermite_rows(full, width, ZZ)
+    return tuple(tuple(Residue(x, n) for x in row) for row, p in zip(rows, pivots) if row[p] % n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_in_any_order())
+def test_the_walk_follows_any_vertex_order(case):
+    """Both solvers visit the vertices in the requested order, so every
+    step's rows sit on a prefix of it; over ``Int`` and ``Q[x]`` the walk's
+    rows are already canonical there and ``_canonical`` returns them as
+    they are.  Both match the plain reference, and the trace replays."""
+    g, order = case
+    direct = solve_direct(g, order)
+    inc, (trace,) = incremental_assembled(g, order)
+    assert inc == direct
+    if g.ring.kind == "ModInt":
+        assert direct.rows == residue_reference_rows(g, order)
+    else:
+        assert direct.rows == reference_component_rows(g, order)
+    for step in trace.steps:
+        assert step.vertices_after == order[: len(step.vertices_after)]
+    if trace.steps:
+        built, last = trace.steps[-1].vertices_after, trace.steps[-1].matrix_after
+    else:
+        built, last = (trace.start_vertex,), ((work_ring(g.ring).one(),),)
+    assert built == order
+    assert replay_trace(g, trace) == last
+    if g.ring.kind != "ModInt":
+        assert last == direct.rows
+        for chords_at_once in (False, True):
+            rows, _ = _walk(g, order, chords_at_once)
+            assert _canonical(g, order, rows).rows == rows
 
 
 # --- membership against the plain reference ------------------------------------------
@@ -1346,10 +1422,11 @@ def test_incremental_cycle_entries_stay_small(monkeypatch):
 
 
 @pytest.mark.parametrize("vertices, edges, calls", [
-    # A triangle, a square with one diagonal, a path and an isolated vertex.
+    # A triangle, a square with one diagonal, a path and an isolated vertex:
+    # one walk over the whole graph, so its three chords go in one call.
     ("abcdefghijk", [("a", "b", 3), ("b", "c", 5), ("a", "c", 7),
       ("d", "e", 2), ("e", "f", 3), ("f", "g", 5), ("d", "g", 7), ("d", "f", 11),
-      ("h", "i", 6), ("i", "j", 10)], [(1, 3), (2, 4), (0, 3), (0, 1)]),
+      ("h", "i", 6), ("i", "j", 10)], [(3, 11)]),
     # A tree: its leaf pullbacks are the module, and nothing is imposed.
     ("abcdef", [("a", "b", 3), ("a", "c", 5), ("c", "d", 7), ("c", "e", 2), ("b", "f", 0)],
      [(0, 6)]),
@@ -1368,8 +1445,8 @@ def test_direct_imposes_each_components_chords_at_once(monkeypatch, vertices, ed
     monkeypatch.setattr(modules, "_impose", spy)
     solve_direct(g)
     assert seen == calls
-    assert seen == [(len(c.edges) - len(c.vertices) + 1, len(c.vertices))
-                    for c in connected_components(g)]
+    chords = len(g.edges) - len(g.vertices) + len(connected_components(g))
+    assert seen == [(chords, len(g.vertices))]
 
 
 # Graphs that stay well under a second only while each chord is one sweep up
@@ -1463,3 +1540,50 @@ def test_qx_basis_keeps_rational_coefficients():
         coefficients = [c for row in module.rows for p in row for _, c in p.terms]
         assert {type(c) for c in coefficients} == {int, Fraction}
         assert any(type(c) is Fraction and c == Fraction(3, 2) for c in coefficients)
+
+
+# Vertex orders that stay well under a second only while the walk visits the
+# vertices in the requested order, so that its rows are canonical in that
+# order at every step.  When each component was walked in an order of its
+# own and the rows were put in Hermite form again in the requested order,
+# integer C300 in a shuffled order took 43 s, and Q[x] K12 in the reversed
+# order ran past 9 minutes of CPU (K10 took 22.7 s); the entries between
+# the two forms grew to 337,687 bits for a basis of 21-bit entries.
+
+
+def qx_complete_graph(n):
+    """``Q[x]`` ``K_n`` whose edges carry distinct linear labels ``x - r``."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    roots = [r - len(pairs) // 2 for r in range(len(pairs))]
+    random.Random(5).shuffle(roots)
+    vs = [f"v{i}" for i in range(n)]
+    edges = [
+        (vs[a], vs[b], FactoredElement((make_factor(parse_element(f"x-({r})", QX), QX),)))
+        for (a, b), r in zip(pairs, roots)
+    ]
+    return normalize(QX, vs, edges)
+
+
+def assert_three_way_in_order(g, order):
+    """Direct = incremental = replayed trace in ``order``, which the trace
+    visits; the last step's matrix is the basis."""
+    direct = solve_direct(g, order)
+    inc, (trace,) = incremental_assembled(g, order)
+    assert inc == direct
+    assert trace.steps[-1].vertices_after == tuple(order)
+    assert replay_trace(g, trace) == trace.steps[-1].matrix_after == direct.rows
+
+
+def shuffled(vertices):
+    return random.Random(1).sample(vertices, len(vertices))
+
+
+def test_three_way_agreement_on_int_c300_in_a_shuffled_order():
+    g = int_cycle(300)
+    assert_three_way_in_order(g, shuffled(g.vertices))
+
+
+@pytest.mark.parametrize("arrange", [lambda vs: vs[::-1], shuffled], ids=["reversed", "shuffled"])
+def test_three_way_agreement_on_qx_k12_in_another_order(arrange):
+    g = qx_complete_graph(12)
+    assert_three_way_in_order(g, arrange(g.vertices))
