@@ -28,16 +28,22 @@ and raises ``InternalError``.
 The solvers compute over a Euclidean ring: ``Int``, univariate ``Q[x]``,
 or ``Int`` for the residue ring ``Z/n``.  Each edge enters as its generator
 in that work ring, from one helper, ``rings._edge_generator``: the label
-without its inverted factors, expanded, or over ``Z/n`` the integer modulus
-``edge_modulus(label)``, a divisor of ``n``; a zero label gives zero.  A
-graph keeps these, in edge order, as ``edge_generators``, derived on first
-use; the solvers, ``bruteforce_values`` and every ``gkm_check`` read them,
-so each label of a graph is expanded once, and ``replay_trace`` derives
-each generator from the label its trace records, so it checks that label.
-A residue value enters as its representative in ``[0, n)``, and a residue
-ring leaves in one place, ``_canonical``: the integer rows, completed by
-``n`` times each coordinate vector, are put in Hermite form and reduced
-modulo ``n``.
+without its inverted factors, expanded (a zero label gives zero, equality),
+or over ``Z/n`` the integer modulus ``edge_modulus(label)``, a nonzero
+divisor of ``n`` (a zero label gives ``n``).  A graph keeps these, in edge
+order, as ``edge_generators``, derived on first use; the solvers,
+``bruteforce_values`` and every ``gkm_check`` read them, so each label of a
+graph is expanded once, and ``replay_trace`` derives each generator from
+the label its trace records, so it checks that label.  A residue value
+enters as its representative in ``[0, n)``.  Over ``Z/n`` the walk's
+integer lattice ``{s : m_e | s_u - s_v}`` contains ``n`` times each
+coordinate vector, so it is the full preimage of the residue module and
+its canonical rows need no completion.  Every module leaves in one place,
+``_canonical``, which takes rows that are canonical already: it finds the
+pivots and, over ``Z/n``, drops the rows of pivot ``n`` (``n`` times a
+coordinate vector) and maps the rest to residues.  The solvers' rows run
+no Hermite pass on the way out; ``flow_up_normalize``, whose generators
+may be any, is the one caller of ``hermite_rows``.
 Every other step is the same on every ring: the Hermite core and
 ``membership`` compute with ``+ - * divmod`` (and ``//``, ``%``) on ints
 and univariate ``Poly``s alike, and read the ring only for units
@@ -531,29 +537,29 @@ def _impose(
 
 
 def _canonical(
-    g: EdgeLabeledGraph, order: Sequence[str], rows: Iterable[Vector]
+    g: EdgeLabeledGraph, order: Sequence[str], rows: Sequence[Vector]
 ) -> SplineModule:
-    """The flow-up module of ``g`` generated by ``rows`` over the work ring.
+    """The flow-up module of ``g`` whose rows over the work ring are
+    ``rows``, canonical in ``order`` already; nothing is reduced here.
 
-    The solvers' rows arrive canonical in ``order``, so over ``Int`` and
-    ``Q[x]`` the Hermite pass files each in its own column and reduces
-    nothing; ``flow_up_normalize``'s generators may be any.  Over ``Z/n``
-    the integer rows are completed by ``n`` times each coordinate vector,
-    put in Hermite form over the integers and reduced modulo ``n``.  Rows
-    whose pivot is ``n`` are exactly those adjoined vectors; they vanish
-    modulo ``n`` and are dropped.
+    Each pivot is the first nonzero column of its row, found by scanning on
+    from the pivot before.  Over ``Z/n`` the rows contain ``n`` times each
+    coordinate vector, since every edge modulus divides ``n``; in the
+    canonical form the rows whose pivot is ``n`` are exactly those vectors.
+    They vanish modulo ``n`` and are dropped, and the rest become
+    ``Residue``s.
     """
-    ring = g.ring
-    width = len(order)
-    if ring.kind != MODINT:
-        hrows, pivots = hermite_rows(rows, width, ring)
-        return SplineModule(g, tuple(order), hrows, pivots)
-    n = ring.modulus
-    full = list(rows) + [
-        tuple(n if j == i else 0 for j in range(width)) for i in range(width)
-    ]
-    hrows, pivots = hermite_rows(full, width, RingDescriptor.integers())
-    kept = [(row, p) for row, p in zip(hrows, pivots) if row[p] % n]
+    pivots: List[int] = []
+    col = 0
+    for row in rows:
+        while not row[col]:
+            col += 1
+        pivots.append(col)
+        col += 1
+    if g.ring.kind != MODINT:
+        return SplineModule(g, tuple(order), tuple(rows), tuple(pivots))
+    n = g.ring.modulus
+    kept = [(row, p) for row, p in zip(rows, pivots) if row[p] != n]
     return SplineModule(
         g,
         tuple(order),
@@ -597,7 +603,9 @@ def _step(
     alone.  Only the new column needs reducing: the old columns are already
     canonical and the adjoined row is zero on them, so each extended entry
     is reduced modulo the normalized edge generator, the adjoined row's
-    pivot.  A zero generator adjoins nothing and the column is a plain copy.
+    pivot.  A zero generator, which arises only over ``Int`` and ``Q[x]``
+    (over ``Z/n`` every generator divides ``n``), adjoins nothing and the
+    column is a plain copy.
     The ``LeafPullback`` records that column and the adjoined row only.
 
     An edge between built vertices cuts ``rows`` down to the combinations
@@ -780,15 +788,16 @@ def _bruteforce_rows(g: EdgeLabeledGraph, residues: bool) -> list:
     Prefixes of int values grow along ``g.vertices``, and each edge
     congruence ``m | x_i - x_j`` is checked at its later endpoint, as soon
     as both values exist, so a prefix that already breaks one is never
-    extended.  The modulus is ``m = gen or n`` for the edge's stored
-    generator (``edge_modulus``); edges of modulus 1 impose nothing and are
-    skipped.  Every ``m`` divides ``n``, so the values a prefix admits at a
-    vertex are ``x0, x0 + M, ...`` below ``n`` with ``M`` the lcm of the
-    moduli checked there: ``x0`` is searched in ``[0, M)`` only, along the
-    first congruence's class, and a prefix whose congruences disagree is
-    dropped; with one congruence ``x0`` is that class's own.  Values come in
-    increasing order, so the rows are in lexicographic order of the value
-    tuples, exactly the order of the full ``n^|V|`` product.
+    extended.  The modulus ``m`` is the edge's stored generator, its
+    ``edge_modulus``, which is ``n`` for a zero label; edges of modulus 1
+    impose nothing and are skipped.  Every ``m`` divides ``n``, so the
+    values a prefix admits at a vertex are ``x0, x0 + M, ...`` below ``n``
+    with ``M`` the lcm of the moduli checked there: ``x0`` is searched in
+    ``[0, M)`` only, along the first congruence's class, and a prefix whose
+    congruences disagree is dropped; with one congruence ``x0`` is that
+    class's own.  Values come in increasing order, so the rows are in
+    lexicographic order of the value tuples, exactly the order of the full
+    ``n^|V|`` product.
 
     At the last vertex each surviving prefix is lifted once into the row's
     type and extended by one-value tuples from a table, so each row is
@@ -809,9 +818,8 @@ def _bruteforce_rows(g: EdgeLabeledGraph, residues: bool) -> list:
     checks: List[List[Tuple[int, int]]] = [[] for _ in range(nv)]
     for e, gen in zip(g.edges, g.edge_generators):
         i, j = sorted((index[e.a], index[e.b]))
-        m = gen or n
-        if i != j and m != 1:
-            checks[j].append((i, m))
+        if i != j and gen != 1:
+            checks[j].append((i, gen))
     # An int prefix lifts by ``tuple``, which returns a tuple itself.
     ints = [(x,) for x in range(n)]
     prefixes: List[Tuple[int, ...]] = [()]
@@ -895,15 +903,26 @@ def flow_up_normalize(
     vertex_order: Optional[Sequence[str]] = None,
     graph: Optional[EdgeLabeledGraph] = None,
 ) -> SplineModule:
-    """Hermite-reduce a generator list to the canonical flow-up basis."""
+    """Hermite-reduce a generator list to the canonical flow-up basis.
+
+    The generators may be any splines, so this is the one caller of
+    ``hermite_rows``.  Over ``Z/n`` their integer lifts are completed by
+    ``n`` times each coordinate vector before the pass, which makes the
+    integer rows those of the residue module's full preimage, as
+    ``_canonical`` expects.
+    """
     if graph is None:
         if not generators:
             raise ValueError("cannot infer the graph from an empty generator list")
         graph = generators[0].graph
     order = _check_vertex_order(graph, vertex_order)
-    _require_euclidean_ring(work_ring(graph.ring), "flow-up normalization")
+    ring = work_ring(graph.ring)
+    _require_euclidean_ring(ring, "flow-up normalization")
     rows = [tuple(_lift_value(s.values[v], graph.ring) for v in order) for s in generators]
-    return _canonical(graph, order, rows)
+    if graph.ring.kind == MODINT:
+        n = graph.ring.modulus
+        rows += [tuple(n if j == i else 0 for j in range(len(order))) for i in range(len(order))]
+    return _canonical(graph, order, hermite_rows(rows, len(order), ring)[0])
 
 
 def localize_module(module: SplineModule, invert) -> SplineModule:
@@ -947,12 +966,13 @@ def membership(module: SplineModule, s: Spline) -> MembershipResult:
 
     The substitution runs over the work ring, on values ``_lift_value``
     checked once as they were read; nothing is coerced inside the loop.
-    The lifted rows of a residue module are the integer Hermite rows
-    ``_canonical`` kept; the rows it dropped are ``n`` times coordinate
-    vectors, which only clear their own column, so ``s`` is a member
-    exactly when every pivot divides and the final residual vanishes
-    modulo ``n``.  Over ``Z/n`` only, the residual is reduced modulo ``n``
-    and the coefficients are mapped to residues, once, at the end.
+    The lifted rows of a residue module are the canonical integer rows
+    ``_canonical`` kept; the rows it dropped, those of pivot ``n``, are
+    ``n`` times coordinate vectors, which only clear their own column, so
+    ``s`` is a member exactly when every pivot divides and the final
+    residual vanishes modulo ``n``.  Over ``Z/n`` only, the residual is
+    reduced modulo ``n`` and the coefficients are mapped to residues, once,
+    at the end.
     """
     g = module.graph
     ring = work_ring(g.ring)

@@ -1124,16 +1124,15 @@ def _edge_generator(label: FactoredElement, ring: RingDescriptor) -> RingElement
     """The edge ideal's generator in the ring the solvers compute in:
     ``Int`` for ``Z/n``, ``ring`` itself otherwise.
 
-    Inverted factors are stripped (they are units).  A nonzero residue
-    label becomes the integer modulus it imposes, ``edge_modulus``; a zero
-    label stays zero (equality), which is the same congruence once the
-    solvers adjoin ``n`` times each coordinate vector, and for values
-    lifted to ``[0, n)``.  So ``gen or n`` is the residue edge's modulus.
+    Over ``Z/n`` every label becomes the integer modulus it imposes,
+    ``edge_modulus``, a nonzero divisor of ``n``: a zero label is the
+    congruence modulo ``n``, not equality.  Otherwise inverted factors are
+    stripped (they are units), and a zero label stays zero (equality).
     """
-    if label.is_zero:
-        return 0 if ring.kind == MODINT else ring.zero()
     if ring.kind == MODINT:
         return edge_modulus(label, ring)
+    if label.is_zero:
+        return ring.zero()
     if ring.inverted:
         label = label.without(ring.inverted_elements())
     return label.expand(ring)

@@ -23,6 +23,7 @@ HEXPOLY_OPENS = fixture_path("hexpoly_opens.json")
 BIGINT_CYCLE = fixture_path("bigint_cycle.json")
 BIGCOEF_QX = fixture_path("bigcoef_qx.json")
 ZERO_CHORD = fixture_path("zero_chord.json")
+ZERO_LABEL_MOD12 = fixture_path("zero_label_mod12.json")
 
 
 def test_basis_triangle_golden(capsys):
@@ -72,6 +73,45 @@ def test_basis_of_a_label_with_a_coefficient_of_any_size(capsys):
     code, out, err = run(capsys, "basis", BIGCOEF_QX)
     assert (code, err) == (0, "")
     assert out.splitlines()[2] == "[ 0 x - " + "1" * 5000 + " ]"
+
+
+def test_basis_incremental_zero_labels_mod_12(capsys):
+    # Over Z/12 a zero label is the congruence modulo 12, and every edge
+    # enters the walk as its modulus, a divisor of 12.  So the zero chord
+    # b ~ c keeps 12 times c's coordinate vector, the zero-label leaf d
+    # adjoins 12 times its own, and the trace prints those rows; the basis
+    # drops them, as they vanish modulo 12.
+    code, out, err = run(capsys, "basis", ZERO_LABEL_MOD12, "--incremental")
+    assert (code, err) == (0, "")
+    assert out == (
+        "vertex order: a b c d\n"
+        "[ 1 1 1 1 ]\n"
+        "[ 0 6 6 6 ]\n"
+        "start: a\n"
+        "leaf-pullback: b attached to a via 2\n"
+        "  [ 1 1 ]\n"
+        "  [ 0 2 ]\n"
+        "leaf-pullback: c attached to a via 3\n"
+        "  [ 1 1 1 ]\n"
+        "  [ 0 2 0 ]\n"
+        "  [ 0 0 3 ]\n"
+        "edge-equalizer: b ~ c via 0\n"
+        "  [ 1 1 1 ]\n"
+        "  [ 0 6 6 ]\n"
+        "  [ 0 0 12 ]\n"
+        "leaf-pullback: d attached to b via 0\n"
+        "  [ 1 1 1 1 ]\n"
+        "  [ 0 6 6 6 ]\n"
+        "  [ 0 0 12 0 ]\n"
+        "  [ 0 0 0 12 ]\n"
+        "edge-equalizer: c ~ d via 4\n"
+        "  [ 1 1 1 1 ]\n"
+        "  [ 0 6 6 6 ]\n"
+        "  [ 0 0 12 0 ]\n"
+        "  [ 0 0 0 12 ]\n"
+    )
+    code, out, err = run(capsys, "verify", ZERO_LABEL_MOD12, "--mod", "12")
+    assert (code, out, err) == (0, "brute force = direct = incremental: 24 splines\n", "")
 
 
 def test_basis_zero_chord_golden(capsys):

@@ -1,8 +1,10 @@
+import ast
 import copy
 import dataclasses
 import functools
 import itertools
 import math
+import pathlib
 import pickle
 import random
 import tracemalloc
@@ -44,6 +46,7 @@ from gsplines import (
     solve_direct,
     spline_set,
 )
+from gsplines import modules
 from gsplines.modules import (
     _canonical,
     _grow,
@@ -141,15 +144,13 @@ def test_both_solvers_reject_a_multivariate_ring_without_vertices():
         incremental_assembled(g)
 
 
-def test_solve_univariate_polynomials():
-    from gsplines import make_factor
-
+def qx_triangle():
     lbl = lambda t: FactoredElement((make_factor(parse_element(t, QX), QX),))
-    g = normalize(
-        QX,
-        ["u", "v", "w"],
-        [("u", "v", lbl("x")), ("v", "w", lbl("x-1")), ("u", "w", lbl("x-2"))],
-    )
+    return normalize(QX, ["u", "v", "w"], [("u", "v", lbl("x")), ("v", "w", lbl("x-1")), ("u", "w", lbl("x-2"))])
+
+
+def test_solve_univariate_polynomials():
+    g = qx_triangle()
     m = solve_direct(g)
     assert m.rank == 3
     for s in m.basis:
@@ -1242,9 +1243,14 @@ def residue_reference_rows(g, order):
 @given(graphs_in_any_order())
 def test_the_walk_follows_any_vertex_order(case):
     """Both solvers visit the vertices in the requested order, so every
-    step's rows sit on a prefix of it; over ``Int`` and ``Q[x]`` the walk's
-    rows are already canonical there and ``_canonical`` returns them as
-    they are.  Both match the plain reference, and the trace replays."""
+    step's rows sit on a prefix of it, and over every ring the walk's rows
+    are already canonical there: ``_canonical`` of the walk's rows, or of
+    the last step's, is the module.  Over ``Z/n`` those rows hold ``n``
+    times each coordinate vector, which ``_canonical`` drops.  Both match
+    the plain reference, the trace replays, and ``flow_up_normalize``, the
+    one path that runs a Hermite pass (over ``Z/n`` on rows completed by
+    ``n`` times each coordinate vector), gives the module back from its
+    basis."""
     g, order = case
     direct = solve_direct(g, order)
     inc, (trace,) = incremental_assembled(g, order)
@@ -1261,11 +1267,48 @@ def test_the_walk_follows_any_vertex_order(case):
         built, last = (trace.start_vertex,), ((work_ring(g.ring).one(),),)
     assert built == order
     assert replay_trace(g, trace) == last
-    if g.ring.kind != "ModInt":
-        assert last == direct.rows
-        for chords_at_once in (False, True):
-            rows, _ = _walk(g, order, chords_at_once)
-            assert _canonical(g, order, rows).rows == rows
+    assert _canonical(g, order, last) == direct
+    for chords_at_once in (False, True):
+        assert _canonical(g, order, _walk(g, order, chords_at_once)[0]) == direct
+    assert flow_up_normalize(direct.basis, order, g) == direct
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        int_graph(["u", "v", "w", "z"], [("u", "v", 3), ("v", "w", 5), ("u", "w", 7), ("w", "z", 0)]),
+        qx_triangle(),
+        reduce_mod(int_graph(["u", "v", "w", "z"], [("u", "v", 6), ("v", "w", 0), ("u", "w", 3), ("v", "z", 0)]), 12),
+    ],
+    ids=["Int", "PolyQ", "ModInt"],
+)
+def test_the_solvers_run_no_hermite_pass(g, monkeypatch):
+    """The walk's rows leave as the module, so neither solver calls
+    ``hermite_rows``, in the default or the reversed order, over ``Int``,
+    ``Q[x]`` or ``Z/n`` with zero labels; ``flow_up_normalize``, whose
+    generators may be any, is its one caller in the package."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return hermite_rows(*args)
+
+    monkeypatch.setattr(modules, "hermite_rows", spy)
+    for order in (g.vertices, g.vertices[::-1]):
+        direct = solve_direct(g, order)
+        assert incremental_assembled(g, order)[0] == direct
+    assert calls == []
+    assert flow_up_normalize(direct.basis, order, g) == direct
+    assert len(calls) == 1
+    callers = {
+        fn.name
+        for path in pathlib.Path(modules.__file__).parent.glob("*.py")
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "hermite_rows"
+    }
+    assert callers == {"flow_up_normalize"}
 
 
 # --- membership against the plain reference ------------------------------------------
