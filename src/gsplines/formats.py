@@ -14,6 +14,15 @@ factors.  Certificate opens live in a separate file::
 
     { "opens": [ {"name": "U1", "invert": ["x-3", "x-5"]} ] }
 
+Each factor text is parsed once per ring object that a loader builds: its
+``Factor``s are kept on the ring (``RingDescriptor.parsed_factors``), so a
+graph's labels, opens read with ``opens_from_json(obj, g.ring)`` and an
+``--invert`` list read with ``factor_list(texts, g.ring, ...)`` share one
+parse of each text.  Nothing is cached across documents or commands:
+``graph_from_json`` builds a new ring for every document.  A text that
+fails is not kept, and its error names where the text sat: ``edges[i]``,
+``'ring.inverted'``, ``opens[i].invert`` or ``--invert``.
+
 All emitted text is UTF-8 with LF line endings and byte-stable across runs.
 """
 
@@ -21,10 +30,10 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .certificates import BasicOpen, CertificateReport, CoverStatus
-from .errors import SchemaError
+from .errors import InputError, SchemaError
 from .graphs import EdgeLabeledGraph, RestrictionOutcome, normalize
 from .modules import LeafPullback, LimitTrace, SplineModule, work_ring
 from .parsing import parse_element
@@ -77,32 +86,27 @@ def parse_factor_text(text: str, ring: RingDescriptor) -> Tuple[Factor, ...]:
     return (make_factor(element, ring),)
 
 
-_Parse = Callable[[str], Tuple[Factor, ...]]
-
-
-def _parse_once(ring: RingDescriptor) -> _Parse:
-    """``parse_factor_text`` over ``ring`` that parses each distinct text
-    once.  The memo lives as long as the returned function: one document."""
-    memo: Dict[str, Tuple[Factor, ...]] = {}
-
-    def parse(text: str) -> Tuple[Factor, ...]:
-        if text not in memo:
-            memo[text] = parse_factor_text(text, ring)
-        return memo[text]
-
-    return parse
+def _parsed(text: str, ring: RingDescriptor) -> Tuple[Factor, ...]:
+    """``parse_factor_text(text, ring)``, parsed once per ring object: the
+    result is kept in ``ring.parsed_factors``.  A text that fails is not
+    kept, so each occurrence of it raises."""
+    factors = ring.parsed_factors.get(text)
+    if factors is None:
+        factors = ring.parsed_factors[text] = parse_factor_text(text, ring)
+    return factors
 
 
 def factor_list(texts: Sequence[str], ring: RingDescriptor, where: str) -> Tuple[Factor, ...]:
-    return _factor_list(texts, _parse_once(ring), where)
-
-
-def _factor_list(texts: Sequence[str], parse: _Parse, where: str) -> Tuple[Factor, ...]:
-    """``rings.lcm_factors`` of the texts' factors, each text checked as it is parsed."""
+    """``rings.lcm_factors`` of the texts' factors, each text checked as it
+    is parsed; a text that fails names ``where`` it sat."""
 
     def factors(text):
         _expect(isinstance(text, str), f"{where} entries must be strings")
-        return parse(text)
+        try:
+            return _parsed(text, ring)
+        except InputError as err:
+            err.args = (f"{where}: {err}",)
+            raise
 
     return lcm_factors(f for text in texts for f in factors(text))
 
@@ -160,7 +164,7 @@ _EDGE_KEYS = frozenset(("ends", "label"))
 _LABEL_KEYS = frozenset(("factors", "zero"))
 
 
-def _label_from_json(obj: dict, ring: RingDescriptor, i: int, parse: _Parse) -> FactoredElement:
+def _label_from_json(obj: dict, ring: RingDescriptor, i: int) -> FactoredElement:
     if not isinstance(obj, dict):
         raise SchemaError(f"edges[{i}]: 'label' must be an object")
     if not obj.keys() <= _LABEL_KEYS:
@@ -181,14 +185,22 @@ def _label_from_json(obj: dict, ring: RingDescriptor, i: int, parse: _Parse) -> 
         ):
             raise SchemaError(f"edges[{i}]: each factor must be [\"text\", multiplicity]")
         text, mult = item
-        if ring.kind == MODINT:
-            n = ring.modulus
-            value = value * pow(parse_element(text, ring).value, mult, n) % n
-            continue
-        for f in parse(text):
+        try:
+            if ring.kind == MODINT:
+                n = ring.modulus
+                value = value * pow(parse_element(text, ring).value, mult, n) % n
+                continue
+            parsed = _parsed(text, ring)
+        except InputError as err:
+            err.args = (f"edges[{i}]: {err}",)
+            raise
+        for f in parsed:
+            # A factor that keeps its parsed multiplicity is the memo's own object.
             old = merged.get(f.element)
-            m = f.multiplicity * mult + (0 if old is None else old.multiplicity)
-            merged[f.element] = Factor(f.element, m, f.irreducibility)
+            if old is not None or mult != 1:
+                m = f.multiplicity * mult + (0 if old is None else old.multiplicity)
+                f = Factor(f.element, m, f.irreducibility)
+            merged[f.element] = f
     if ring.kind == MODINT:
         return factored_from_residue(value, ring)
     return FactoredElement(tuple(merged.values()))
@@ -208,7 +220,6 @@ def graph_from_json(obj: dict) -> EdgeLabeledGraph:
     raw_edges = obj.get("edges", [])
     _expect(isinstance(raw_edges, list), "'edges' must be a list")
     edges = []
-    parse = _parse_once(ring)
     for i, e in enumerate(raw_edges):
         if not isinstance(e, dict):
             raise SchemaError(f"edges[{i}] must be an object")
@@ -222,7 +233,7 @@ def graph_from_json(obj: dict) -> EdgeLabeledGraph:
             raise SchemaError(f"edges[{i}]: 'ends' must be a pair of vertex names")
         if "label" not in e:
             raise SchemaError(f"edges[{i}]: missing 'label'")
-        label = _label_from_json(e["label"], ring, i, parse)
+        label = _label_from_json(e["label"], ring, i)
         edges.append((ends[0], ends[1], label))
     return normalize(ring, vertices, edges)
 
@@ -426,7 +437,6 @@ def opens_from_json(obj: dict, ring: RingDescriptor) -> Tuple[BasicOpen, ...]:
     raw = obj.get("opens")
     _expect(isinstance(raw, list) and raw, "'opens' must be a nonempty list")
     out = []
-    parse = _parse_once(ring)
     for i, o in enumerate(raw):
         where = f"opens[{i}]"
         _expect(isinstance(o, dict), f"{where} must be an object")
@@ -438,7 +448,7 @@ def opens_from_json(obj: dict, ring: RingDescriptor) -> Tuple[BasicOpen, ...]:
             isinstance(invert, list) and invert,
             f"{where}: 'invert' must be a nonempty list of factor strings",
         )
-        out.append(BasicOpen(name, _factor_list(invert, parse, f"{where}.invert")))
+        out.append(BasicOpen(name, factor_list(invert, ring, f"{where}.invert")))
     return tuple(out)
 
 

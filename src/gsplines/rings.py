@@ -33,14 +33,16 @@ Sparse term arithmetic lives once, in the term kernel (``_terms_sum``,
 one lcm of factor lists.
 
 All values are immutable and all functions are pure, so concurrent use
-needs no coordination.
+needs no coordination.  The one mutable part is the factor-text memo a
+``RingDescriptor`` carries (``parsed_factors``): a text parsed by two
+threads at once is stored twice with equal values.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -577,12 +579,23 @@ class RingDescriptor:
     ``inverted`` holds canonical, pairwise non-associate irreducible factors
     that are declared invertible; a nonempty list means "work over the
     localization at the multiplicative set they generate".
+
+    ``parsed_factors`` is the memo of ``formats``' factor-text parser for
+    this ring object: text -> its ``Factor``s.  It is a field that the
+    constructor sets to an empty dict and that ``==``, ``hash`` and
+    ``repr`` leave out, so it lasts exactly as long as the ring object; a
+    ring that ``localize`` or ``base`` builds starts with an empty one.  A
+    field, unlike a ``cached_property``, never materializes the instance
+    ``__dict__``, which would slow every later attribute read of the ring.
     """
 
     kind: str
     modulus: Optional[int] = None
     variables: Tuple[str, ...] = ()
     inverted: Tuple["Factor", ...] = ()
+    parsed_factors: Dict[str, Tuple["Factor", ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.kind not in (INT, MODINT, POLYQ):
@@ -720,8 +733,10 @@ def canonical_key(x: RingElement):
     A ``Poly``'s key is computed once and kept in its ``_key`` slot.  It
     is the ``repr`` of the term tuple with every coefficient as a
     ``Fraction``, so that factor order does not depend on which
-    coefficients are stored as ints; integers are spelled by
-    ``_to_decimal``, so a coefficient of any size has a key.
+    coefficients are stored as ints; an int ``c`` is spelled
+    ``Fraction(c, 1)`` directly, without building the ``Fraction``, and
+    integers are spelled by ``_to_decimal``, so a coefficient of any size
+    has a key.
     """
     if isinstance(x, int):
         return (0, x, "")
@@ -730,7 +745,10 @@ def canonical_key(x: RingElement):
     try:
         return x._key
     except AttributeError:
-        spelled = [_term_repr((e, Fraction(c))) for e, c in x.terms]
+        spelled = [
+            f"({e!r}, Fraction({_to_decimal(c)}, 1))" if type(c) is int else _term_repr((e, c))
+            for e, c in x.terms
+        ]
         tail = "," if len(spelled) == 1 else ""
         key = (x.degree, 0, f"({', '.join(spelled)}{tail})")
         object.__setattr__(x, "_key", key)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -403,30 +404,39 @@ QX_RING = {"kind": "PolyQ", "variables": ["x"]}
 # Inputs that a check refuses, and its message.  Each check raises an
 # ``InputError`` (exit 2); the library's own checks raise ``InvalidValue``,
 # which is also a ``ValueError``.  A dict or bytes argument is a file's
-# content.
+# content.  A factor text that fails is named by where it sat, and the test
+# id is the message after that location.
 REFUSED = [
     (("basis", TRIANGLE, "--vertex-order", "u,v"),
      "vertex order must be a permutation of the graph's vertices"),
-    (("restrict", PATH, "--invert", "0"), "zero has no factorization"),
+    (("restrict", PATH, "--invert", "0"), "--invert: zero has no factorization"),
     (("verify", TRIANGLE, "--mod", "1"), "ModInt requires a modulus >= 2"),
-    (("basis", _one_edge_graph({"kind": "Int"}, "0")), "zero has no factorization"),
-    (("basis", _one_edge_graph(QX_RING, "0")), "zero is not a valid factor"),
-    (("basis", _one_edge_graph(QX_RING, "2")), "constants are not valid polynomial factors"),
-    (("basis", _one_edge_graph(QX_RING, "x^2-1")), "'x^2 - 1' is reducible over the rationals"),
+    (("basis", _one_edge_graph({"kind": "Int"}, "0")), "edges[0]: zero has no factorization"),
+    (("basis", _one_edge_graph(QX_RING, "0")), "edges[0]: zero is not a valid factor"),
+    (("basis", _one_edge_graph(QX_RING, "2")), "edges[0]: constants are not valid polynomial factors"),
+    (("basis", _one_edge_graph(QX_RING, "x^2-1")), "edges[0]: 'x^2 - 1' is reducible over the rationals"),
+    (("basis", _one_edge_graph({"kind": "ModInt", "modulus": 6}, "x")),
+     "edges[0]: the ring has no variables, found 'x' at position 0"),
     (("basis", {"ring": {"kind": "PolyQ", "variables": ["x", "x"]}, "vertices": ["u"]}),
      "variable names must be distinct"),
     (("basis", {"ring": {"kind": "PolyQ", "variables": ["1x"]}, "vertices": ["u"]}),
      "bad variable name '1x'"),
     (("basis", {"ring": {"kind": "Int", "inverted": ["0"]}, "vertices": ["u"]}),
-     "zero has no factorization"),
+     "'ring.inverted': zero has no factorization"),
     (("cover", PATH, "--opens", {"opens": [{"name": "a", "invert": ["1"]}]}),
      "open 'a' must invert at least one factor"),
+    (("cover", HEXPOLY, "--opens", {"opens": [{"name": "a", "invert": ["x-3"]}, {"name": "b", "invert": ["x-"]}]}),
+     "opens[1].invert: unexpected end of input at position 2 (expected a number, variable, '(' or '-')"),
     # Not UTF-8, and a JSON integer past Python's 4,300-digit limit.
     (("basis", b"\xff\xfe"), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     (("basis", b'{"ring": {"kind": "ModInt", "modulus": 1' + b"0" * 5000 + b'}, "vertices": []}'),
      "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits; "
      "use sys.set_int_max_str_digits() to increase the limit"),
 ]
+
+
+def _refused_id(message):
+    return re.sub(r"^(edges\[\d+\]|'ring\.inverted'|opens\[\d+\]\.invert|--invert): ", "", message)[:32]
 
 
 def _refused_argv(argv, tmp_path):
@@ -441,7 +451,7 @@ def _refused_argv(argv, tmp_path):
     return out
 
 
-@pytest.mark.parametrize("argv, message", REFUSED, ids=[m[:32] for _, m in REFUSED])
+@pytest.mark.parametrize("argv, message", REFUSED, ids=[_refused_id(m) for _, m in REFUSED])
 def test_refused_values_exit_2(capsys, tmp_path, argv, message):
     code, out, err = run(capsys, *_refused_argv(argv, tmp_path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -627,6 +637,7 @@ def test_certify_hexpoly(capsys):
         (("basis", TRIANGLE), "basis_triangle_golden.json"),
         (("basis", ZERO_CHORD, "--incremental"), "basis_zero_chord_incremental_golden.json"),
         (("verify", TRIANGLE, "--mod", "105"), "verify_triangle_105_golden.json"),
+        (("cover", HEXPOLY, "--opens", HEXPOLY_OPENS), "cover_hexpoly_golden.json"),
     ],
 )
 def test_json_output_matches_golden_bytes(capsys, argv, golden):

@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsplines import SchemaError, verify_certificate
-from gsplines.formats import certificate_to_json, dump_json, graph_from_json, load_graph, load_opens
+from gsplines import ParseError, RingDescriptor, SchemaError, formats, verify_certificate
+from gsplines.formats import (
+    certificate_to_json,
+    dump_json,
+    factor_list,
+    graph_from_json,
+    graph_to_json,
+    load_graph,
+    load_opens,
+    opens_from_json,
+)
 from conftest import fixture_path
 
 
@@ -82,6 +91,106 @@ def test_residue_labels_keep_the_item_checks():
     with pytest.raises(SchemaError) as info:
         graph_from_json(doc)
     assert str(info.value) == FACTOR_ITEM
+
+
+# ---------------------------------------------------------------------------
+# factor texts: parsed once per ring object
+
+
+def _read(name):
+    with open(fixture_path(name), "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _spy_on_parses(monkeypatch):
+    """The texts ``formats.parse_factor_text`` is called on, in order."""
+    calls = []
+    real = formats.parse_factor_text
+
+    def spy(text, ring):
+        calls.append(text)
+        return real(text, ring)
+
+    monkeypatch.setattr(formats, "parse_factor_text", spy)
+    return calls
+
+
+def test_each_factor_text_is_parsed_once_across_graph_opens_and_invert(monkeypatch):
+    graph_doc, opens_doc = _read("hexpoly.json"), _read("hexpoly_opens.json")
+    invert = ["x-3", "(x-10)^2+y^2-1", "x-11", "x-3"]
+    calls = _spy_on_parses(monkeypatch)
+    g = graph_from_json(graph_doc)
+    opens = opens_from_json(opens_doc, g.ring)
+    inverted = factor_list(invert, g.ring, "--invert")
+    texts = {t for e in graph_doc["edges"] for t, _ in e["label"]["factors"]}
+    texts |= {t for o in opens_doc["opens"] for t in o["invert"]} | set(invert)
+    assert sorted(calls) == sorted(texts)
+    # Every hexpoly label factor has multiplicity 1, so the graph's labels,
+    # the opens and the --invert list hold the same Factor objects.
+    by_element = {f.element: f for e in g.edges for f in e.label.factors}
+    shared = [f for o in opens for f in o.invert] + list(inverted)
+    assert sum(f.element in by_element for f in shared) > len(opens)
+    assert all(by_element[f.element] is f for f in shared if f.element in by_element)
+
+
+def test_two_loads_of_one_document_parse_twice(monkeypatch):
+    doc = _read("hexpoly.json")
+    calls = _spy_on_parses(monkeypatch)
+    first = graph_from_json(doc)
+    once = len(calls)
+    second = graph_from_json(doc)
+    assert once and len(calls) == 2 * once
+    assert first.ring is not second.ring and first == second
+    # The memo stays out of the ring's ==, hash and repr.
+    fresh = RingDescriptor.rational_polynomials("x", "y")
+    assert first.ring.parsed_factors and not fresh.parsed_factors
+    assert (first.ring, hash(first.ring), repr(first.ring)) == (fresh, hash(fresh), repr(fresh))
+
+
+LOCALIZED_AND_RESIDUE_DOCS = [
+    {"ring": {"kind": "Int", "inverted": ["6", "5"]}, "vertices": ["u", "v", "w"],
+     "edges": [_edge({"factors": [["6", 1], ["35", 2]]}),
+               {"ends": ["v", "w"], "label": {"factors": [["3", 1], ["7", 1], ["3", 1]]}},
+               {"ends": ["u", "w"], "label": {"factors": [["5", 1]]}}]},
+    {"ring": {"kind": "PolyQ", "variables": ["x"], "inverted": ["x-3"]}, "vertices": ["u", "v", "w"],
+     "edges": [_edge({"factors": [["x-3", 1], ["x^2+1", 1]]}),
+               {"ends": ["v", "w"], "label": {"factors": [["x-5", 2], ["x-3", 1]]}}]},
+    {"ring": {"kind": "ModInt", "modulus": 12}, "vertices": ["u", "v", "w"],
+     "edges": [_edge({"factors": [["2", 1], ["3", 1]]}),
+               {"ends": ["v", "w"], "label": {"factors": [["4", 1]]}},
+               {"ends": ["u", "w"], "label": {"factors": [["0", 1]]}}]},
+]
+
+
+@pytest.mark.parametrize("doc", LOCALIZED_AND_RESIDUE_DOCS, ids=["Int-localized", "Qx-localized", "ModInt"])
+def test_localized_and_residue_rings_load_as_with_a_fresh_parse_per_text(monkeypatch, doc):
+    """The memo changes no result: the same documents loaded with every
+    text parsed afresh give equal graphs, opens and factor lists."""
+    texts = sorted({t for e in doc["edges"] for t, _ in e["label"]["factors"]} - {"0"})
+    opens_doc = {"opens": [{"name": "U", "invert": texts[:2]}, {"name": "V", "invert": texts[1:]}]}
+
+    def load():
+        g = graph_from_json(doc)
+        return g, opens_from_json(opens_doc, g.ring), factor_list(texts, g.ring, "--invert")
+
+    got = load()
+    monkeypatch.setattr(formats, "_parsed", formats.parse_factor_text)
+    want = load()
+    assert got == want
+    assert formats.render_graph_text(got[0]) == formats.render_graph_text(want[0])
+    assert graph_to_json(got[0]) == graph_to_json(want[0])
+
+
+def test_a_failing_text_is_not_kept_and_names_where_it_sat():
+    g = load_graph(fixture_path("hexpoly.json"))
+    for where in ("--invert", "opens[2].invert", "--invert"):
+        with pytest.raises(ParseError) as info:
+            factor_list(["x-3", "x-"], g.ring, where)
+        assert str(info.value) == (
+            f"{where}: unexpected end of input at position 2 (expected a number, variable, '(' or '-')"
+        )
+        assert info.value.position == 2
+    assert "x-" not in g.ring.parsed_factors and "x-3" in g.ring.parsed_factors
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from gsplines import (
 from gsplines.rings import (
     _monic_cubic_has_integer_root,
     _poly_irreducible_low_degree,
+    _term_repr,
     canonical_key,
     format_poly,
     poly_divmod,
@@ -376,6 +377,27 @@ def test_canonical_key_and_repr_spell_coefficients_of_any_size():
     assert repr(p) == f"Poly(1, [((1,), 1), ((0,), Fraction(-{big_text}, 3))])"
     assert canonical_key(Poly(1, {(0,): big}))[2] == f"(((0,), Fraction({big_text}, 1)),)"
     assert repr(Poly(1, {(0,): -big})) == f"Poly(1, [((0,), -{big_text})])"
+
+
+def _fraction_spelling(p):
+    """The reference key: every coefficient made a ``Fraction``, then
+    spelled by ``_term_repr``."""
+    spelled = [_term_repr((e, Fraction(c))) for e, c in p.terms]
+    tail = "," if len(spelled) == 1 else ""
+    return (p.degree, 0, f"({', '.join(spelled)}{tail})")
+
+
+BIG = 10**4400 + 7  # past Python's 4,300-digit str(int) limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 2]).flatmap(polys),
+    st.sampled_from([1, -1, 3, BIG, -BIG, Fraction(1, BIG), Fraction(BIG, 3)]),
+)
+def test_canonical_key_spells_each_coefficient_as_its_fraction(p, scale):
+    q = Poly(p.nvars, {e: c * scale for e, c in p.terms})
+    assert canonical_key(q) == _fraction_spelling(q)
 
 
 def test_integral_coefficients_are_ints():
