@@ -330,8 +330,8 @@ def render_trace_text(g, trace: LimitTrace) -> str:
     """The trace's steps; labels print over ``g.ring``, step rows over the
     work ring the steps computed in (``Int`` for a residue ring).
 
-    The rows are ``trace.matrices_after()``, each step's ``matrix_after``
-    from one forward pass in ``modules``; this function only formats them.
+    The rows are ``trace.matrices_after()``, each step's rows from one
+    forward pass in ``modules``; this function only formats them.
     """
     ring = g.ring
     work = work_ring(ring)

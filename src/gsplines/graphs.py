@@ -4,15 +4,14 @@ Graphs are simple after normalization: self-loops are dropped (the
 congruence they impose is vacuous), parallel edges are merged into a single
 edge generating the intersection of the two principal ideals, and edges
 whose label is the unit ideal are dropped.  Every operation returns a new
-graph; nothing is mutated.  A graph only stores, on first use, the edge
+graph; nothing is mutated.  A graph only stores, on first read, the edge
 generators its fields determine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import MixedRings, NoSuchEdge, NoSuchVertex, UnknownVertex, UnsupportedRing
@@ -28,6 +27,7 @@ from .rings import (
     edge_modulus,
     factored_from_residue,
     lcm_factors,
+    strip_inverted,
 )
 
 
@@ -45,23 +45,31 @@ class Edge:
 class EdgeLabeledGraph:
     """A ring, declared vertices and normalized edges.
 
-    ``edge_generators`` is derived from the fields on first use and kept on
-    the graph, as ``Poly`` keeps its hash.  It is not a field, so it stays
-    out of ``==``, ``hash`` and ``repr``, and a graph built from another
-    (``restrict``, ``reduce_mod``, ``contract_edge``, ...) derives its own.
-    The value is a pure function of the fields, so two threads that compute
-    it at once store equal tuples and the graph stays immutable in effect.
+    ``edge_generators`` is derived from the fields on first read into
+    ``_edge_generators``, a field out of ``==``, ``hash`` and ``repr`` that
+    starts as ``None``; a graph built from another derives its own.  Unlike
+    a ``cached_property``, storing it never materializes the instance
+    ``__dict__``, which would slow every later attribute read.  The value is
+    a pure function of the fields, so two threads that compute it at once
+    store equal tuples and the graph stays immutable in effect.
     """
 
     ring: RingDescriptor
     vertices: Tuple[str, ...]
     edges: Tuple[Edge, ...]
+    _edge_generators: Optional[Tuple[RingElement, ...]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
-    @cached_property
+    @property
     def edge_generators(self) -> Tuple[RingElement, ...]:
         """Each edge's ideal generator in the ring the solvers compute in
         (``rings._edge_generator``), in ``edges`` order."""
-        return tuple(_edge_generator(e.label, self.ring) for e in self.edges)
+        gens = self._edge_generators
+        if gens is None:
+            gens = tuple(_edge_generator(e.label, self.ring) for e in self.edges)
+            object.__setattr__(self, "_edge_generators", gens)
+        return gens
 
     def index(self, v: str) -> int:
         try:
@@ -114,9 +122,11 @@ def normalize(
 ) -> EdgeLabeledGraph:
     """Build a normalized graph from a raw description.
 
-    Drops self-loops and unit labels, merges parallel edges, orients every
-    edge from the earlier-declared endpoint, and sorts edges by endpoint
-    indices so the result is deterministic and normalization is idempotent.
+    Drops self-loops, merges parallel edges, strips the factors ``ring``
+    inverts (``rings.strip_inverted``) and then drops unit labels, orients
+    every edge from the earlier-declared endpoint, and sorts edges by
+    endpoint indices so the result is deterministic and normalization is
+    idempotent.
     """
     vertices = tuple(vertices)
     if len(set(vertices)) != len(vertices):
@@ -140,6 +150,7 @@ def normalize(
             merged[key] = label
     out = []
     for (ia, ib), label in sorted(merged.items()):
+        label = strip_inverted(label, ring)
         if label.is_unit_ideal():
             continue
         out.append(Edge(vertices[ia], vertices[ib], label))
@@ -243,17 +254,15 @@ def restrict(g: EdgeLabeledGraph, invert: Iterable[Factor]) -> RestrictionOutcom
     """Restrict the graph along the localization inverting ``invert``.
 
     The result lives over the localized ring; inverted factors are removed
-    from every label, and edges whose label became the unit ideal are
-    deleted and reported.  Zero labels survive every localization.
+    from every label (``rings.strip_inverted``), and edges whose label
+    became the unit ideal are deleted and reported.  Zero labels survive
+    every localization.
     """
-    if g.ring.kind == MODINT:
-        raise UnsupportedRing("residue rings cannot be localized")
     new_ring = g.ring.localize(invert)
-    inverted = frozenset(new_ring.inverted_elements())
     kept: List[Edge] = []
     trivialized: List[Edge] = []
     for e in g.edges:
-        new_label = e.label.without(inverted)
+        new_label = strip_inverted(e.label, new_ring)
         if new_label.is_unit_ideal():
             trivialized.append(e)
         else:
@@ -283,8 +292,17 @@ def delete_vertex(g: EdgeLabeledGraph, u: str) -> EdgeLabeledGraph:
     )
 
 
+def contracted_vertex(g: EdgeLabeledGraph, u: str, v: str) -> str:
+    """The name ``contract_edge(g, u, v)`` gives the merged vertex: ``u~v``,
+    primed until no vertex of ``g`` has it."""
+    merged = f"{u}~{v}"
+    while merged in g.vertices:
+        merged += "'"
+    return merged
+
+
 def contract_edge(g: EdgeLabeledGraph, u: str, v: str) -> EdgeLabeledGraph:
-    """Delete the edge, then identify its endpoints as ``u~v``.
+    """Delete the edge, then identify its endpoints as ``contracted_vertex``.
 
     Edges formerly incident to either endpoint re-attach to the merged
     vertex; self-loops produced by the identification are dropped and new
@@ -293,9 +311,7 @@ def contract_edge(g: EdgeLabeledGraph, u: str, v: str) -> EdgeLabeledGraph:
     edge = g.edge_between(u, v)
     if edge is None:
         raise NoSuchEdge(f"no edge between {u!r} and {v!r}")
-    merged = f"{u}~{v}"
-    while merged in g.vertices:
-        merged += "'"
+    merged = contracted_vertex(g, u, v)
     iu, iv = g.index(u), g.index(v)
     keep_at = min(iu, iv)
     vertices = tuple(

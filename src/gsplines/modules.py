@@ -70,16 +70,18 @@ Hermite core take whatever route costs least to reach it:
   end,
 * a leaf pullback in ``_step`` starts from a canonical basis, so only the
   new column needs reducing, modulo the normalized edge generator; the
-  step records just that column and the adjoined row, and ``_grow``
-  extends its rows in place.
+  step records just that column and the adjoined row.
 
-This module owns that leaf-delta format (``_extend``) and the forward pass
-over a trace, ``LimitTrace.matrices_after``; ``formats`` prints them.
+One rule applies a recorded step to the rows before it, ``_apply``: a leaf
+extends them, an equalizer replaces them by its matrix.  ``_grow`` runs it
+after each step, and ``LimitTrace.matrices_after``, the forward pass from
+the trace's recorded start matrix, runs it to yield each step's rows;
+``formats`` prints them.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import compress
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -204,9 +206,8 @@ class LeafPullback:
 
     The step records only what it changes: ``column``, the new column's
     entries on the rows it extended, and ``adjoined``, the row
-    ``(0, ..., 0, p)`` it adds, ``None`` for a zero generator.  ``before``
-    links the step before it, or the start matrix; ``matrix_after`` is
-    derived from the nearest full matrix along that link."""
+    ``(0, ..., 0, p)`` it adds, ``None`` for a zero generator.  Its rows
+    come from ``_apply`` on the rows before it."""
 
     new_vertex: str
     attach_vertex: str
@@ -214,22 +215,6 @@ class LeafPullback:
     vertices_after: Tuple[str, ...]
     column: Vector
     adjoined: Optional[Vector]
-    before: Union["Step", Tuple[Vector, ...]] = field(compare=False, repr=False)
-
-    @property
-    def matrix_after(self) -> Tuple[Vector, ...]:
-        """The rows after this step: the nearest full matrix before it, an
-        equalizer's or the start's, extended by each leaf since, in a loop
-        (a path of many leaves must not recurse)."""
-        leaves = []
-        at: Union[Step, Tuple[Vector, ...]] = self
-        while isinstance(at, LeafPullback):
-            leaves.append(at)
-            at = at.before
-        rows = at if isinstance(at, tuple) else at.matrix_after
-        for leaf in reversed(leaves):
-            rows = _extend(rows, leaf)
-        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -244,42 +229,40 @@ class EdgeEqualizer:
 Step = Union[LeafPullback, EdgeEqualizer]
 
 
-def _extend(rows, leaf: LeafPullback) -> List[List[RingElement]]:
-    """Apply a leaf pullback to rows: one entry on each row, then the
-    adjoined row.  Lists of rows are extended in place and returned; a
+def _apply(rows, step: Step):
+    """The rows after ``step``: a leaf extends ``rows``, one entry on each
+    row and then its adjoined row; an equalizer replaces them by its
+    ``matrix_after``.  Lists of rows are extended in place and returned; a
     tuple of rows (a full matrix) is copied to lists first."""
+    if isinstance(step, EdgeEqualizer):
+        return step.matrix_after
     if type(rows) is tuple:
         rows = [list(r) for r in rows]
-    for row, x in zip(rows, leaf.column):
+    for row, x in zip(rows, step.column):
         row.append(x)
-    if leaf.adjoined is not None:
-        rows.append(list(leaf.adjoined))
+    if step.adjoined is not None:
+        rows.append(list(step.adjoined))
     return rows
 
 
 @dataclass(frozen=True)
 class LimitTrace:
     """The construction order of the incremental build and what each step
-    changed: an equalizer's full matrix, a leaf's new column.  Replaying
-    the steps from the one-vertex module reproduces the final normalized
-    basis."""
+    changed: an equalizer's full matrix, a leaf's new column.  Applying
+    the steps to ``start_matrix``, the one-vertex module on
+    ``start_vertex``, reproduces the final normalized basis."""
 
     start_vertex: str
+    start_matrix: Tuple[Vector, ...]
     steps: Tuple[Step, ...]
 
     def matrices_after(self) -> Iterator[Tuple[Vector, ...]]:
-        """Each step's ``matrix_after``, from one running matrix: a leaf
-        that follows the step it links extends it in place (``_extend``),
-        any other step replaces it by its own ``matrix_after``.  So a run
-        of leaves is not derived again from the matrix before it."""
-        rows, prev = (), None
+        """Each step's rows, from one running matrix that ``_apply`` takes
+        through the steps from ``start_matrix``."""
+        rows = self.start_matrix
         for step in self.steps:
-            if isinstance(step, LeafPullback) and step.before is prev:
-                rows = _extend(rows, step)
-            else:
-                rows = step.matrix_after
+            rows = _apply(rows, step)
             yield tuple(map(tuple, rows))
-            prev = step
 
 
 @dataclass(frozen=True)
@@ -588,11 +571,9 @@ def _step(
     e: Edge,
     gen: RingElement,
     ring: RingDescriptor,
-    before: Union[Step, Tuple[Vector, ...]],
 ) -> Step:
     """Insert the edge ``e`` into the module ``rows`` on ``built``, whose
-    vertices sit at the columns ``column`` gives; ``before`` is the step
-    that left ``rows``, or the start matrix.
+    vertices sit at the columns ``column`` gives.
 
     ``rows`` is canonical over the work ring ``ring``, and so is the step's
     module; ``gen`` is the edge's generator there, and its label is
@@ -626,7 +607,7 @@ def _step(
             p = normalized_associate(gen, ring)
             entries = tuple(row[ia] % p for row in rows)
             adjoined = (ring.zero(),) * len(built) + (p,)
-        return LeafPullback(new, attach, e.label, built + (new,), entries, adjoined, before)
+        return LeafPullback(new, attach, e.label, built + (new,), entries, adjoined)
     raise InternalError(f"edge {a!r}-{b!r} does not touch the module built so far")
 
 
@@ -636,41 +617,39 @@ def _grow(
     edges: Sequence[Edge],
     gens: Sequence[RingElement],
     chords_at_once: bool,
-) -> Tuple[Tuple[str, ...], Tuple[Vector, ...], List[Step]]:
+) -> Tuple[Tuple[str, ...], Tuple[Vector, ...], LimitTrace]:
     """Walk ``edges`` (generators ``gens`` in the work ring ``ring``) from
     the one-vertex module on ``start``: each edge is one ``_step``, a leaf
-    pullback to a fresh vertex or an edge equalizer between built vertices.
-    With ``chords_at_once`` an edge between built vertices, a chord, is
-    not stepped, and one ``_impose`` of every chord ends the walk.  Returns
-    the built vertices, the module's canonical rows on them and the steps.
+    pullback to a fresh vertex or an edge equalizer between built vertices,
+    and ``_apply`` takes the rows through it.  With ``chords_at_once`` an
+    edge between built vertices, a chord, is not stepped, and one
+    ``_impose`` of every chord ends the walk.  Returns the built vertices,
+    the module's canonical rows on them and the trace of the steps.
 
-    A leaf extends the rows in place, one entry on each row and its
-    adjoined row, so a tree costs no row copies.  An equalizer's rows stay
-    the tuples ``_impose`` returned, which share every row it left
-    unchanged with the matrix before; they become lists again only at the
-    next leaf.
+    A leaf extends the rows in place, so a tree costs no row copies.  An
+    equalizer's rows stay the tuples ``_impose`` returned, which share
+    every row it left unchanged with the matrix before; they become lists
+    again only at the next leaf.
     """
     built: Tuple[str, ...] = (start,)
     column = {start: 0}  # built vertex -> its column
-    rows: Union[Tuple[Vector, ...], List[List[RingElement]]] = ((ring.one(),),)
-    last: Union[Step, Tuple[Vector, ...]] = rows
+    start_matrix = rows = ((ring.one(),),)
     steps: List[Step] = []
     chords = []
     for e, gen in zip(edges, gens):
         if chords_at_once and e.a in column and e.b in column:
             chords.append((column[e.a], column[e.b], gen))
             continue
-        last = _step(built, column, rows, e, gen, ring, last)
-        steps.append(last)
-        built = last.vertices_after
-        if isinstance(last, EdgeEqualizer):
-            rows = last.matrix_after
-            continue
-        rows = _extend(rows, last)
-        column[last.new_vertex] = len(built) - 1
+        step = _step(built, column, rows, e, gen, ring)
+        steps.append(step)
+        rows = _apply(rows, step)
+        built = step.vertices_after
+        if isinstance(step, LeafPullback):
+            column[step.new_vertex] = len(built) - 1
+    trace = LimitTrace(start, start_matrix, tuple(steps))
     if chords_at_once:
-        return built, _impose(rows, len(built), chords, ring), steps
-    return built, tuple(map(tuple, rows)), steps
+        return built, _impose(rows, len(built), chords, ring), trace
+    return built, tuple(map(tuple, rows)), trace
 
 
 def _walk(
@@ -696,8 +675,8 @@ def _walk(
     for v, earlier in zip(order[1:], back[1:]):
         walk += earlier or [(Edge(order[0], v, FactoredElement.unit()), ring.one())]
     edges, gens = zip(*walk) if walk else ((), ())
-    _, rows, steps = _grow(ring, order[0], edges, gens, chords_at_once)
-    return rows, [LimitTrace(order[0], tuple(steps))]
+    _, rows, trace = _grow(ring, order[0], edges, gens, chords_at_once)
+    return rows, [trace]
 
 
 def solve_direct(
@@ -728,11 +707,11 @@ def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
 
     ``_grow`` walks the recorded edges again, each generator derived from
     the recorded label, so a replay checks the labels as well as the
-    matrices: the walk must run and its steps equal the recorded ones;
-    ``InternalError`` otherwise.  Steps compare by what they record, an
-    equalizer's matrix and a leaf's column and adjoined row; equal steps
-    from the same start give equal matrices, by induction, so every
-    derived ``matrix_after`` is checked too.
+    matrices: the walk must run, and its start matrix and steps must equal
+    the recorded ones; ``InternalError`` otherwise.  Steps compare by what
+    they record, an equalizer's matrix and a leaf's column and adjoined
+    row; equal steps applied to equal start matrices give equal matrices,
+    by induction, so every matrix ``matrices_after`` yields is checked too.
     """
     edges = [
         Edge(s.attach_vertex, s.new_vertex, s.label)
@@ -741,8 +720,8 @@ def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
         for s in trace.steps
     ]
     gens = [_edge_generator(e.label, g.ring) for e in edges]
-    _, rows, steps = _grow(work_ring(g.ring), trace.start_vertex, edges, gens, False)
-    if steps != list(trace.steps):
+    _, rows, replayed = _grow(work_ring(g.ring), trace.start_vertex, edges, gens, False)
+    if replayed != trace:
         raise InternalError("trace does not replay to its recorded matrices")
     return rows
 

@@ -45,7 +45,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Container, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidValue, MixedRings, TooLarge, UnsupportedRing
 
@@ -587,6 +587,8 @@ class RingDescriptor:
     ring that ``localize`` or ``base`` builds starts with an empty one.  A
     field, unlike a ``cached_property``, never materializes the instance
     ``__dict__``, which would slow every later attribute read of the ring.
+    ``_inverted_elements``, the set of the inverted factors' elements, is
+    such a field too, set by the constructor when ``inverted`` is nonempty.
     """
 
     kind: str
@@ -595,6 +597,9 @@ class RingDescriptor:
     inverted: Tuple["Factor", ...] = ()
     parsed_factors: Dict[str, Tuple["Factor", ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
+    )
+    _inverted_elements: FrozenSet[RingElement] = field(
+        default=frozenset(), init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
@@ -615,6 +620,9 @@ class RingDescriptor:
                     raise InvalidValue(f"bad variable name {name!r}")
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "inverted", tuple(self.inverted))
+        if self.inverted:
+            elements = frozenset(f.element for f in self.inverted)
+            object.__setattr__(self, "_inverted_elements", elements)
 
     # constructors -----------------------------------------------------
     @classmethod
@@ -661,8 +669,8 @@ class RingDescriptor:
         ordered = tuple(sorted(merged.values(), key=_factor_key))
         return replace(self, inverted=ordered)
 
-    def inverted_elements(self) -> Tuple[RingElement, ...]:
-        return tuple(f.element for f in self.inverted)
+    def inverted_elements(self) -> FrozenSet[RingElement]:
+        return self._inverted_elements
 
 
 def check_element(x: RingElement, ring: RingDescriptor) -> RingElement:
@@ -1138,6 +1146,16 @@ def edge_modulus(label: FactoredElement, ring: RingDescriptor) -> int:
     return math.gcd(label.expand(ring).value, n) or n
 
 
+def strip_inverted(label: FactoredElement, ring: RingDescriptor) -> FactoredElement:
+    """``label`` without the factors equal to one ``ring`` inverts, which
+    are units there; the one place a label meets the inverted factors.  A
+    factor that is a unit only through a reducible inverted factor is kept.
+    """
+    if not ring.inverted or label.is_zero:
+        return label
+    return label.without(ring.inverted_elements())
+
+
 def _edge_generator(label: FactoredElement, ring: RingDescriptor) -> RingElement:
     """The edge ideal's generator in the ring the solvers compute in:
     ``Int`` for ``Z/n``, ``ring`` itself otherwise.
@@ -1149,11 +1167,7 @@ def _edge_generator(label: FactoredElement, ring: RingDescriptor) -> RingElement
     """
     if ring.kind == MODINT:
         return edge_modulus(label, ring)
-    if label.is_zero:
-        return ring.zero()
-    if ring.inverted:
-        label = label.without(ring.inverted_elements())
-    return label.expand(ring)
+    return strip_inverted(label, ring).expand(ring)
 
 
 def trivializes(label: FactoredElement, ring: RingDescriptor) -> bool:
@@ -1163,7 +1177,7 @@ def trivializes(label: FactoredElement, ring: RingDescriptor) -> bool:
     when every one of its factors is an associate of an inverted factor.
     This is the test ``restrict`` applies to each label.
     """
-    return label.without(set(ring.inverted_elements())).is_unit_ideal()
+    return strip_inverted(label, ring).is_unit_ideal()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import UnrelatedGraphs
-from .graphs import EdgeLabeledGraph, _partition, contract_edge, delete_edge, delete_vertex, restrict
+from .graphs import EdgeLabeledGraph, _partition, contract_edge, contracted_vertex
+from .graphs import delete_edge, delete_vertex, restrict
 from .rings import (
     Factor,
     RingDescriptor,
@@ -139,7 +140,7 @@ def base_change_commutes(g: EdgeLabeledGraph, invert) -> BaseChangeCheck:
     """
     outcome = restrict(g, invert)
     restricted = spectrum_report(outcome.graph)
-    inverted = frozenset(outcome.graph.ring.inverted_elements())
+    inverted = outcome.graph.ring.inverted_elements()
     filtered = _report(
         g.vertices,
         restricted.ring,
@@ -205,15 +206,11 @@ def _infer_operation(before: EdgeLabeledGraph, after: EdgeLabeledGraph) -> Tuple
         (gone,) = bv - av
         op, result = ("delete-vertex", gone), delete_vertex(before, gone)
     elif len(av - bv) == 1 and len(bv - av) == 2:
-        # ``contract_edge`` names the merged vertex ``u~v``, primed until
-        # fresh; the endpoint names may themselves contain ``~``.
         (merged,) = av - bv
         a, b = bv - av
         for u, v in ((a, b), (b, a)):
-            stem = f"{u}~{v}"
-            if merged.startswith(stem) and not merged[len(stem):].strip("'"):
-                if before.edge_between(u, v) is not None:
-                    op, result = ("contract", u, v, merged), contract_edge(before, u, v)
+            if contracted_vertex(before, u, v) == merged and before.edge_between(u, v) is not None:
+                op, result = ("contract", u, v, merged), contract_edge(before, u, v)
                 break
     if op is None or not _same_graph(result, after):
         raise UnrelatedGraphs(

@@ -25,6 +25,7 @@ BIGINT_CYCLE = fixture_path("bigint_cycle.json")
 BIGCOEF_QX = fixture_path("bigcoef_qx.json")
 ZERO_CHORD = fixture_path("zero_chord.json")
 ZERO_LABEL_MOD12 = fixture_path("zero_label_mod12.json")
+LOCALIZED = fixture_path("localized.json")
 
 
 def test_basis_triangle_golden(capsys):
@@ -638,6 +639,7 @@ def test_certify_hexpoly(capsys):
         (("basis", ZERO_CHORD, "--incremental"), "basis_zero_chord_incremental_golden.json"),
         (("verify", TRIANGLE, "--mod", "105"), "verify_triangle_105_golden.json"),
         (("cover", HEXPOLY, "--opens", HEXPOLY_OPENS), "cover_hexpoly_golden.json"),
+        (("spectrum", LOCALIZED), "spectrum_localized_golden.json"),
     ],
 )
 def test_json_output_matches_golden_bytes(capsys, argv, golden):
@@ -645,6 +647,78 @@ def test_json_output_matches_golden_bytes(capsys, argv, golden):
     assert code == 0
     with open(fixture_path(golden), "rb") as fh:
         assert out.encode("utf-8") == fh.read()
+
+
+def test_spectrum_over_a_localized_ring_skips_inverted_factors(capsys):
+    # Over Z[1/3] the label 3 is a unit, so u-v imposes nothing and v-w's
+    # label 3*5 is 5: the only fiber is at 5, and u is its own component.
+    code, out, _ = run(capsys, "spectrum", LOCALIZED)
+    assert code == 0
+    assert out == (
+        "relevant factors: 5\n"
+        "fiber at 5: {u} {v, w}\n"
+        "generic fiber: 3 points\n"
+        "components: 2\n"
+        "holeCount: 0\n"
+    )
+    code, out, _ = run(capsys, "restrict", LOCALIZED, "--invert", "5")
+    assert code == 0
+    assert out == (
+        "ring: Int localized at {3, 5}\n"
+        "vertices: u v w\n"
+        "edges:\n"
+        "  (none)\n"
+        "trivialized edges:\n"
+        "  v-w\n"
+        "classification: Trivial\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("restrict", "--invert", "5"), "residue rings cannot be localized"),
+        (("cover", "--opens", "OPENS"), "covers are checked over integer or polynomial rings"),
+        (("certify", "--opens", "OPENS"), "restrictions are not defined over residue rings"),
+    ],
+    ids=["restrict", "cover", "certify"],
+)
+def test_residue_ring_refusals(capsys, tmp_path, argv, message):
+    # Each operation refuses a residue ring once, with exit 1.
+    opens = tmp_path / "opens.json"
+    opens.write_text(json.dumps({"opens": [{"name": "U", "invert": ["2"]}, {"name": "V", "invert": ["3"]}]}))
+    argv = [str(opens) if a == "OPENS" else a for a in argv]
+    code, out, err = run(capsys, argv[0], ZERO_LABEL_MOD12, *argv[1:])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_diff_names_a_primed_contraction_exactly(capsys, tmp_path):
+    # The graph already holds u~v, so contracting u-v names the merged
+    # vertex u~v'; an after-file that names it u~v'' is not that contraction.
+    doc = {
+        "ring": {"kind": "Int"},
+        "vertices": ["u", "v", "u~v"],
+        "edges": [
+            {"ends": ["u", "v"], "label": {"factors": [["3", 1]]}},
+            {"ends": ["v", "u~v"], "label": {"factors": [["5", 1]]}},
+        ],
+    }
+    before = tmp_path / "before.json"
+    before.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "contract", str(before), "--edge", "u,v", "--json")
+    assert code == 0
+    after = json.loads(out)
+    assert after["vertices"] == ["u~v'", "u~v"]
+    good = tmp_path / "good.json"
+    good.write_text(out)
+    code, out, _ = run(capsys, "diff", str(before), str(good))
+    assert code == 0
+    assert "vertices identified: u, v -> u~v'" in out.splitlines()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(after).replace("u~v'", "u~v''"))
+    code, out, err = run(capsys, "diff", str(before), str(bad))
+    assert (code, out) == (2, "")
+    assert "not related by one edge deletion" in err
 
 
 def test_delete_edge_with_diff(capsys):

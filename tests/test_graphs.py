@@ -203,6 +203,54 @@ def test_restrict_empty_invert_is_isomorphic(triangle):
     assert out.classification.kind == "DeterminedByCycle"
 
 
+def localized_path():
+    """``u-v`` labeled 3 and ``v-w`` labeled 15 over ``Z[1/3]``."""
+    ring = ZZ.localize([make_factor(3, ZZ)])
+    return normalize(ring, ["u", "v", "w"], [("u", "v", int_label(3)), ("v", "w", int_label(15))])
+
+
+def test_normalize_strips_the_factors_its_ring_inverts():
+    # 3 is a unit over Z[1/3]: u-v imposes nothing, and v-w imposes 5.
+    g = localized_path()
+    assert edge_labels(g) == {("v", "w"): "5"}
+    assert g.edge_generators == (5,)
+    out = restrict(g, [])
+    assert out.graph == g and out.trivialized_edges == ()
+    assert out.classification.kind == "Other"
+
+
+@st.composite
+def raw_graphs(draw):
+    """``(ring, vertices, edges)``: a raw description over ``Int``, ``Q[x]``
+    or ``Q[x,y]`` whose labels are zero or products of ``FACTOR_TEXTS``,
+    parallel edges and self-loops included, and a set of factor texts."""
+    ring = draw(st.sampled_from(list(FACTOR_TEXTS)))
+    texts = FACTOR_TEXTS[ring]
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    edges = []
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))
+        if draw(st.integers(0, 5)) == 0:
+            label = FactoredElement.zero()
+        else:
+            chosen = draw(st.sets(st.sampled_from(texts), max_size=3))
+            label = FactoredElement(tuple(parse_factor(t, ring, draw(st.integers(1, 2))) for t in sorted(chosen)))
+        edges.append((a, b, label))
+    invert = draw(st.sets(st.sampled_from(texts), max_size=3))
+    return ring, vertices, edges, [parse_factor(t, ring) for t in sorted(invert)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_graphs())
+def test_normalize_over_a_localization_is_restriction(case):
+    # Normalizing over R[S^-1] strips the inverted factors as restricting
+    # the graph normalized over R does.
+    ring, vertices, edges, invert = case
+    assert normalize(ring.localize(invert), vertices, edges) == restrict(
+        normalize(ring, vertices, edges), invert
+    ).graph
+
+
 def test_restrict_modint_unsupported():
     g = reduce_mod(int_graph(["u", "v"], [("u", "v", 3)]), 6)
     with pytest.raises(UnsupportedRing):

@@ -48,6 +48,7 @@ from gsplines import (
 )
 from gsplines import modules
 from gsplines.modules import (
+    _apply,
     _canonical,
     _grow,
     _impose,
@@ -185,6 +186,12 @@ def test_vertex_order_override(triangle):
 # --- the incremental build and insertion orders ------------------------------
 
 
+def last_matrix(trace):
+    """The rows after the trace's last step, from its forward pass; the
+    start matrix for a trace without steps."""
+    return (trace.start_matrix, *trace.matrices_after())[-1]
+
+
 def grown(g, start, edges):
     """The module ``_grow`` builds from ``start`` along ``edges``, an
     insertion order of ``g``'s edges, in flow-up form."""
@@ -288,7 +295,7 @@ def test_incremental_disconnected_input():
         ("c", "a", "1"),
         ("d", "c", "5"),
     ]
-    assert trace.steps[-1].matrix_after == m.rows
+    assert last_matrix(trace) == m.rows
 
 
 # --- enumerate_bruteforce ---------------------------------------------------------
@@ -479,8 +486,7 @@ def test_residue_three_way_agreement_random():
         inc, traces = incremental_assembled(g)
         assert inc == solve_direct(g)
         for t in traces:
-            if t.steps:
-                assert replay_trace(g, t) == t.steps[-1].matrix_after
+            assert replay_trace(g, t) == last_matrix(t)
 
 
 def test_residue_membership_coefficients_recombine():
@@ -544,8 +550,19 @@ def test_replay_rejects_a_tampered_leaf(triangle, tamper):
     i = max(k for k, s in enumerate(trace.steps) if isinstance(s, LeafPullback))
     leaf = trace.steps[i]
     tampered = dataclasses.replace(leaf, **tamper(leaf))
-    assert tampered.matrix_after != leaf.matrix_after
     bad = dataclasses.replace(trace, steps=trace.steps[:i] + (tampered,) + trace.steps[i + 1:])
+    assert list(bad.matrices_after())[i] != list(trace.matrices_after())[i]
+    with pytest.raises(InternalError):
+        replay_trace(triangle, bad)
+
+
+def test_replay_rejects_a_tampered_start_matrix(triangle):
+    # The trace records its start matrix, the one-vertex module over the
+    # work ring; the forward pass starts there, so replay checks it too.
+    _, (trace,) = incremental_assembled(triangle)
+    assert trace.start_matrix == ((1,),)
+    bad = dataclasses.replace(trace, start_matrix=((2,),))
+    assert list(bad.matrices_after())[0] != list(trace.matrices_after())[0]
     with pytest.raises(InternalError):
         replay_trace(triangle, bad)
 
@@ -753,34 +770,18 @@ def test_spline_repr_keeps_the_dataclass_format(residue_path):
 
 
 def _trace_text_reference(g, trace):
-    """The trace text printed from each step's own ``matrix_after``."""
+    """The trace text printed from each step's rows in the forward pass."""
     work = work_ring(g.ring)
     lines = [f"start: {trace.start_vertex}"]
-    for step in trace.steps:
+    for step, rows in zip(trace.steps, trace.matrices_after()):
         if isinstance(step, LeafPullback):
             head = f"leaf-pullback: {step.new_vertex} attached to {step.attach_vertex}"
         else:
             head = f"edge-equalizer: {step.u} ~ {step.v}"
         lines.append(f"{head} via {format_factored(step.label, g.ring)}")
-        for row in step.matrix_after:
+        for row in rows:
             lines.append(f"  [ {' '.join(format_element(x, work) for x in row)} ]")
     return "\n".join(lines)
-
-
-def test_trace_text_of_a_relinked_trace():
-    # The printer extends one running matrix by each leaf; a leaf that does
-    # not follow the step it links (here the one after a replaced first
-    # step) prints the matrix it derives along its own link.
-    g = int_graph(["a", "b", "c", "d"], [("a", "b", 6), ("b", "c", 10), ("c", "d", 15), ("a", "d", 4)])
-    _, (trace,) = incremental_assembled(g)
-    first = trace.steps[0]
-    replaced = dataclasses.replace(first, column=(first.column[0] + 1,))
-    relinked = dataclasses.replace(trace, steps=(replaced,) + trace.steps[1:])
-    assert isinstance(trace.steps[1], LeafPullback) and trace.steps[1].before is first
-    for t in (trace, relinked):
-        assert list(t.matrices_after()) == [step.matrix_after for step in t.steps]
-        assert render_trace_text(g, t) == _trace_text_reference(g, t)
-    assert render_trace_text(g, relinked) != render_trace_text(g, trace)
 
 
 def test_spline_set_matches_product_span_on_redundant_rows():
@@ -914,8 +915,7 @@ def assert_three_way(g):
     inc, traces = incremental_assembled(g)
     assert inc == direct
     for t in traces:
-        if t.steps:
-            assert replay_trace(g, t) == t.steps[-1].matrix_after
+        assert replay_trace(g, t) == last_matrix(t)
     for s in direct.basis:
         assert gkm_check(g, s)
     return direct, inc
@@ -1066,11 +1066,11 @@ def test_leaf_step_is_hermite_of_extended_matrix(case, new_first):
     extended = [row + (row[ia],) for row in rows] + [(work.zero(),) * width + (gen,)]
     expected, _ = hermite_rows(extended, width + 1, work)
     column = {v: i for i, v in enumerate(built)}
-    step = _step(built, column, rows, Edge(*ends, label), gen, work, rows)
+    step = _step(built, column, rows, Edge(*ends, label), gen, work)
     assert isinstance(step, LeafPullback)
     fields = (step.new_vertex, step.attach_vertex, step.label, step.vertices_after)
     assert fields == ("new", built[ia], label, built + ("new",))
-    assert step.matrix_after == expected
+    assert tuple(map(tuple, _apply(rows, step))) == expected
 
 
 @st.composite
@@ -1124,17 +1124,17 @@ def test_direct_matches_identity_reference(g, data):
     )
 )
 def test_every_step_matrix_is_the_walked_subgraphs_module(g):
-    """Each step's ``matrix_after``, which a leaf derives from the steps
-    before it, is the canonical module over the work ring of the edges
-    walked so far, in ``vertices_after`` order.  The canonical form is
-    unique, so the plain reference checks the derivation without trusting
-    it.  The edges and generators come from ``g``; over ``Z/n`` an edge
-    enters the work ring ``Int`` as its integer modulus."""
+    """Each step's rows in the forward pass, which a leaf extends from the
+    rows before it, are the canonical module over the work ring of the
+    edges walked so far, in ``vertices_after`` order.  The canonical form
+    is unique, so the plain reference checks the forward pass without
+    trusting it.  The edges and generators come from ``g``; over ``Z/n`` an
+    edge enters the work ring ``Int`` as its integer modulus."""
     work = work_ring(g.ring)
     by_ends = {frozenset((e.a, e.b)): (e, gen) for e, gen in zip(g.edges, g.edge_generators)}
     for trace in incremental_assembled(g)[1]:
         walked = []
-        for step in trace.steps:
+        for step, rows in zip(trace.steps, trace.matrices_after()):
             if isinstance(step, LeafPullback):
                 ends = (step.attach_vertex, step.new_vertex)
             else:
@@ -1147,7 +1147,7 @@ def test_every_step_matrix_is_the_walked_subgraphs_module(g):
                 # the graph: it imposes nothing.
                 assert isinstance(step, LeafPullback) and step.label.is_unit_ideal()
             sub = EdgeLabeledGraph(work, step.vertices_after, tuple(walked))
-            assert step.matrix_after == reference_component_rows(sub, step.vertices_after)
+            assert rows == reference_component_rows(sub, step.vertices_after)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1161,21 +1161,6 @@ def test_every_step_matrix_is_the_walked_subgraphs_module(g):
 def test_trace_text_prints_each_step_matrix(g):
     for trace in incremental_assembled(g)[1]:
         assert render_trace_text(g, trace) == _trace_text_reference(g, trace)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.one_of(
-        connected_graphs(ZZ, int_labels()),
-        connected_graphs(QX, qx_labels()),
-        st.builds(reduce_mod, connected_graphs(ZZ, int_labels()), st.integers(2, 30)),
-    )
-)
-def test_forward_pass_yields_each_step_matrix(g):
-    """``LimitTrace.matrices_after`` extends one running matrix by each leaf;
-    every matrix it yields is that step's own ``matrix_after``."""
-    for trace in incremental_assembled(g)[1]:
-        assert list(trace.matrices_after()) == [step.matrix_after for step in trace.steps]
 
 
 @st.composite
@@ -1261,10 +1246,9 @@ def test_the_walk_follows_any_vertex_order(case):
         assert direct.rows == reference_component_rows(g, order)
     for step in trace.steps:
         assert step.vertices_after == order[: len(step.vertices_after)]
-    if trace.steps:
-        built, last = trace.steps[-1].vertices_after, trace.steps[-1].matrix_after
-    else:
-        built, last = (trace.start_vertex,), ((work_ring(g.ring).one(),),)
+    assert trace.start_matrix == ((work_ring(g.ring).one(),),)
+    built = trace.steps[-1].vertices_after if trace.steps else (trace.start_vertex,)
+    last = last_matrix(trace)
     assert built == order
     assert replay_trace(g, trace) == last
     assert _canonical(g, order, last) == direct
@@ -1542,15 +1526,15 @@ def test_incremental_c400_trace_stays_small():
 
 
 def test_long_path_derives_its_last_matrix_without_recursion():
-    # Each leaf's matrix is derived along the links to the start matrix; a
-    # loop, not recursion, so a path longer than the recursion limit works.
+    # The forward pass applies each leaf to one running matrix in a loop,
+    # not by recursion, so a path longer than the recursion limit works.
     n = 1100
     rng = random.Random(5)
     vs = [f"p{i:04d}" for i in range(n)]
     g = int_graph(vs, [(vs[i], vs[i + 1], rng.choice(PRIMES_BELOW_50)) for i in range(n - 1)])
     m, (trace,) = incremental_assembled(g)
     assert trace.steps[-1].vertices_after == m.vertex_order
-    assert trace.steps[-1].matrix_after == m.rows
+    assert last_matrix(trace) == m.rows
 
 
 @pytest.mark.parametrize("n", [8, 12, 16], ids=["K8", "K12", "K16"])
@@ -1614,7 +1598,7 @@ def assert_three_way_in_order(g, order):
     inc, (trace,) = incremental_assembled(g, order)
     assert inc == direct
     assert trace.steps[-1].vertices_after == tuple(order)
-    assert replay_trace(g, trace) == trace.steps[-1].matrix_after == direct.rows
+    assert replay_trace(g, trace) == last_matrix(trace) == direct.rows
 
 
 def shuffled(vertices):
