@@ -11,7 +11,8 @@ The opens cover exactly when their defining products generate the unit
 ideal.  One rule decides this or says it cannot: a factor inverted by every
 open refutes covering; otherwise, when the factors use at most one
 variable, the gcd of the products decides; otherwise the answer is
-Inconclusive rather than a guess.
+Inconclusive rather than a guess.  Over a localized ring the factors it
+already inverts are units and take no part.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .rings import (
     format_element,
     gcd,
     is_unit,
+    strip_inverted,
 )
 
 COVERS = "Covers"
@@ -73,11 +75,11 @@ class CertificateReport:
     notes: Tuple[str, ...]
 
 
-def _common_factor(opens: Sequence[BasicOpen]) -> Optional[RingElement]:
+def _common_factor(lists: Sequence[Tuple[Factor, ...]]) -> Optional[RingElement]:
     """A factor associate-present in every open's inverted list, if any."""
     common = None
-    for o in opens:
-        elements = {f.element for f in o.invert}
+    for factors in lists:
+        elements = {f.element for f in factors}
         common = elements if common is None else common & elements
         if not common:
             return None
@@ -93,7 +95,10 @@ def check_cover(ring: RingDescriptor, opens: Sequence[BasicOpen]) -> CoverStatus
     is Inconclusive; otherwise the products lie in ``Z`` or in one-variable
     ``Q[t]``, and their gcd decides (a unit covers, anything else is the
     common factor).  The gcd, not the declared factorizations, decides, so
-    a declared irreducible that factors is still caught.  The check is
+    a declared irreducible that factors is still caught.  Over a localized
+    ring the question is asked in that ring: each open's factors that the
+    ring already inverts are units and are dropped first, and an open left
+    with none is the whole spectrum, so the opens cover.  The check is
     permutation-invariant, idempotent under duplicated opens, and adding an
     open never turns Covers into FailsToCover.
     """
@@ -101,21 +106,29 @@ def check_cover(ring: RingDescriptor, opens: Sequence[BasicOpen]) -> CoverStatus
         raise ValueError("at least one open is required")
     if ring.kind == MODINT:
         raise UnsupportedRing("covers are checked over integer or polynomial rings")
-    common = _common_factor(opens)
+    lists = [o.invert for o in opens]
+    if ring.inverted:
+        lists = [strip_inverted(FactoredElement(factors), ring).factors for factors in lists]
+        for o, factors in zip(opens, lists):
+            if not factors:
+                return CoverStatus(
+                    COVERS, detail=f"open {o.name} inverts only units, so it is the whole spectrum"
+                )
+    common = _common_factor(lists)
     if common is not None:
         return CoverStatus(
             FAILS_TO_COVER, common, detail=format_element(common, ring)
         )
     if ring.kind == POLYQ:
-        used = {v for o in opens for f in o.invert for v in f.element.used_variables()}
+        used = {v for factors in lists for f in factors for v in f.element.used_variables()}
         if len(used) > 1:
             return CoverStatus(
                 INCONCLUSIVE,
                 detail="the defining products use more than one variable",
             )
     g = ring.zero()
-    for o in opens:
-        g = gcd(g, FactoredElement(o.invert).expand(ring), ring)
+    for factors in lists:
+        g = gcd(g, FactoredElement(factors).expand(ring), ring)
         if is_unit(g, ring):
             return CoverStatus(COVERS, detail="unit gcd of the defining products")
     return CoverStatus(FAILS_TO_COVER, g, detail=format_element(g, ring))

@@ -113,7 +113,16 @@ class Poly:
     which stores a term tuple as given.  Canonical terms make ``==`` and
     ``hash`` decide equality of polynomials; the hash is computed on first
     use and kept in ``_hash``, and the sort key of ``canonical_key``
-    likewise in ``_key``.
+    likewise in ``_key``.  ``format_poly`` keeps the text it spells in
+    ``_text``, as the pair ``(variables, text)``: the same polynomial
+    printed again in the same variables is not spelled again, and a second
+    variable list replaces the pair with its own.  ``==``, ``hash``,
+    ``repr`` and ``canonical_key`` never read ``_text``.  ``_hash`` and
+    ``_key`` are pure functions of the polynomial, and ``_text`` is one
+    pair that names the variables its text is in, each stored in one
+    write; so two threads that fill a slot at once each read either
+    nothing or a whole value right for them, and the polynomial stays
+    immutable in effect.
 
     A univariate polynomial (``nvars == 1``) computes on a second canonical
     form instead, the pair ``(numerators, den)`` kept in ``_vec``:
@@ -136,7 +145,7 @@ class Poly:
     ``int`` or ``Fraction`` operand directly, without building a constant.
     """
 
-    __slots__ = ("nvars", "_terms", "_vec", "_hash", "_key")
+    __slots__ = ("nvars", "_terms", "_vec", "_hash", "_key", "_text")
 
     def __init__(self, nvars: int, terms: Union[Mapping, Iterable] = ()):
         acc: dict = {}
@@ -365,9 +374,11 @@ class Poly:
         return f"Poly({self.nvars}, [{', '.join(map(_term_repr, self.terms))}])"
 
 
-# Slot writers for ``_univariate``: ``Poly.__setattr__`` refuses every write.
+# Slot writers for ``_univariate`` and ``format_poly``: ``Poly.__setattr__``
+# refuses every write.
 _set_nvars = Poly.nvars.__set__
 _set_vec = Poly._vec.__set__
+_set_text = Poly._text.__set__
 
 
 def _univariate(vec: Tuple[Tuple[int, ...], int]) -> Poly:
@@ -1213,6 +1224,22 @@ def _from_decimal(text: str) -> int:
 
 
 def format_poly(p: Poly, variables: Sequence[str]) -> str:
+    """The text of ``p`` in ``variables``, spelled once per variable list:
+    the text is kept in ``p``'s ``_text`` slot and returned while the
+    variables are the same object or equal to the ones it was spelled in."""
+    try:
+        known, text = p._text
+    except AttributeError:
+        pass
+    else:
+        if known is variables or known == variables:
+            return text
+    text = _spell_poly(p, variables)
+    _set_text(p, (tuple(variables), text))
+    return text
+
+
+def _spell_poly(p: Poly, variables: Sequence[str]) -> str:
     if not p.terms:
         return "0"
     chunks = []

@@ -164,6 +164,25 @@ def test_cover_is_sound(family):
         assert not generates_unit_ideal(ring, opens)
 
 
+def test_cover_over_a_localized_ring_drops_the_factors_it_inverts():
+    z3 = RingDescriptor("Int", inverted=(make_factor(3, ZZ),))
+
+    def opens(*lists):
+        return opens_from_json(
+            {"opens": [{"name": f"U{i}", "invert": texts} for i, texts in enumerate(lists)]}, z3
+        )
+
+    whole = check_cover(z3, opens(["3"]))
+    assert whole.status == "Covers"
+    assert whole.detail == "open U0 inverts only units, so it is the whole spectrum"
+    assert check_cover(z3, opens(["5"], ["3", "7"])).status == "Covers"
+    for lists in ((["5"],), (["3", "5"], ["3", "5"]), (["3", "5"], ["5", "7"])):
+        status = check_cover(z3, opens(*lists))
+        assert status.status == "FailsToCover"
+        assert status.common_factor == 5
+    assert check_cover(z3, opens(["3", "5"], ["3", "7"])).detail == "unit gcd of the defining products"
+
+
 def test_cover_permutation_and_duplication_invariance():
     opens = [int_open("U1", 2, 3), int_open("U2", 5), int_open("U3", 7)]
     base = check_cover(ZZ, opens).status

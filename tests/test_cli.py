@@ -649,6 +649,51 @@ def test_json_output_matches_golden_bytes(capsys, argv, golden):
         assert out.encode("utf-8") == fh.read()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("spectrum", HEXPOLY), "spectrum_hexpoly_golden.txt"),
+        (("restrict", HEXPOLY, "--invert", "x-3,(x-10)^2+y^2-1"), "restrict_hexpoly_golden.txt"),
+        (("contract", HEXPOLY, "--edge", "A1,B1", "--emit-diff"), "contract_hexpoly_golden.txt"),
+    ],
+)
+def test_text_output_matches_golden_bytes(capsys, argv, golden):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    with open(fixture_path(golden), "rb") as fh:
+        assert out.encode("utf-8") == fh.read()
+
+
+def test_each_polynomial_is_spelled_once_per_command(capsys, monkeypatch):
+    # hexpoly's labels hold 21 distinct polynomials, and contract --emit-diff
+    # prints them 140 times: the graph after the contraction and the two
+    # spectrum reports of the diff share the parsed polynomials.
+    from gsplines import rings
+
+    calls, spelled = [], []
+    format_poly, speller = rings.format_poly, rings._spell_poly
+    monkeypatch.setattr(rings, "format_poly", lambda p, v: calls.append(p) or format_poly(p, v))
+    monkeypatch.setattr(rings, "_spell_poly", lambda p, v: spelled.append(p) or speller(p, v))
+    code, _, _ = run(capsys, "contract", HEXPOLY, "--edge", "A1,B1", "--emit-diff")
+    assert code == 0
+    assert len(calls) == 140
+    assert len(spelled) == len(set(spelled)) == len(set(calls)) == 21
+
+
+def test_cover_over_a_localized_ring_drops_its_units(capsys, tmp_path):
+    # Over Z[1/3] an open inverting 3 is the whole spectrum; one inverting 5
+    # misses the fiber at 5.
+    opens = tmp_path / "opens.json"
+    opens.write_text(json.dumps({"opens": [{"name": "U", "invert": ["3"]}]}))
+    code, out, _ = run(capsys, "cover", LOCALIZED, "--opens", str(opens))
+    assert code == 0
+    assert out == "cover status: Covers (open U inverts only units, so it is the whole spectrum)\n"
+    opens.write_text(json.dumps({"opens": [{"name": "U", "invert": ["5"]}]}))
+    code, out, _ = run(capsys, "cover", LOCALIZED, "--opens", str(opens))
+    assert code == 0
+    assert out == "cover status: FailsToCover (common factor 5)\n"
+
+
 def test_spectrum_over_a_localized_ring_skips_inverted_factors(capsys):
     # Over Z[1/3] the label 3 is a unit, so u-v imposes nothing and v-w's
     # label 3*5 is 5: the only fiber is at 5, and u is its own component.

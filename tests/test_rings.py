@@ -364,6 +364,50 @@ def test_canonical_key_and_format_spell_coefficients_as_fractions(p):
     assert format_poly(p, "xy") == format_poly(Poly._of(p.nvars, as_fractions), "xy")
 
 
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_format_poly_keeps_one_spelling_per_variable_list(pair):
+    """A stored spelling is the text of a freshly built equal polynomial, in
+    the variables asked for, and changes nothing else about the polynomial."""
+    a, b = pair
+    first, second = ("x", "y")[: a.nvars], ("s", "t")[: a.nvars]
+    for p in (a, a + b, a * b, -b):
+        fresh = Poly(p.nvars, dict(p.terms))
+        key, text = hash(fresh), repr(fresh)
+        want_first = format_poly(Poly(p.nvars, dict(p.terms)), first)
+        want_second = format_poly(Poly(p.nvars, dict(p.terms)), second)
+        assert format_poly(p, first) == want_first
+        assert format_poly(p, first) == want_first
+        assert format_poly(p, tuple(list(first))) == want_first  # equal, not the same
+        assert format_poly(p, second) == want_second
+        assert format_poly(p, first) == want_first
+        assert format_poly(p, list(second)) == want_second
+        assert p == fresh and fresh == p
+        assert hash(p) == key and repr(p) == text
+        assert canonical_key(p) == canonical_key(Poly(p.nvars, dict(p.terms)))
+        assert {fresh: 1}[p] == 1
+
+
+def test_format_poly_spells_a_polynomial_once_per_variable_list(monkeypatch):
+    import gsplines.rings as rings
+
+    spelled = []
+    speller = rings._spell_poly
+    monkeypatch.setattr(rings, "_spell_poly", lambda p, v: spelled.append(v) or speller(p, v))
+    p = qxy("x^2+y^2-20*x+99")
+    for _ in range(3):
+        assert format_element(p, QXY) == "x^2 + y^2 - 20*x + 99"
+    assert spelled == [QXY.variables]
+    assert format_poly(p, ("u", "v")) == "u^2 + v^2 - 20*u + 99"
+    assert format_poly(p, ("x", "y")) == "x^2 + y^2 - 20*x + 99"
+    assert format_poly(p, ("x", "y")) == "x^2 + y^2 - 20*x + 99"
+    assert spelled == [QXY.variables, ("u", "v"), ("x", "y")]
+    # the zero of Q[x] is one object for every univariate ring
+    zero = qx("x") * 0
+    assert zero is parse_element("t", RingDescriptor("PolyQ", variables=("t",))) * 0
+    assert format_poly(zero, ("x",)) == format_poly(zero, ("t",)) == "0"
+
+
 def test_canonical_key_and_repr_spell_coefficients_of_any_size():
     # Python's repr(int) stops at 4,300 digits by default.
     big = 10**5000 + 1
