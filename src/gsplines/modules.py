@@ -13,6 +13,13 @@ all splines is computed three ways:
   both and builds each row once, in the type its caller returns (ints, or
   the shared ``Residue``s a row-backed ``Spline`` holds).
 
+``spline_set`` lists the span of a residue module's rows, each element once,
+over the Howell rows ``_hermite_completed`` gives.  The three enumerations
+run with the cyclic garbage collector paused (``_collector_paused``): they
+allocate a tuple, and maybe a ``Spline``, per element and nothing that can
+form a cycle, so reference counting frees all they drop, and the collector
+would only rescan their young tuples, once per 700 allocations.
+
 The solvers are one walk, ``_grow``, that differs only in imposing the
 chords together or one at a time, and a trace replays through it too;
 brute force, and the tests' plain references (every edge imposed on the
@@ -42,8 +49,10 @@ its canonical rows need no completion.  Every module leaves in one place,
 ``_canonical``, which takes rows that are canonical already: it finds the
 pivots and, over ``Z/n``, drops the rows of pivot ``n`` (``n`` times a
 coordinate vector) and maps the rest to residues.  The solvers' rows run
-no Hermite pass on the way out; ``flow_up_normalize``, whose generators
-may be any, is the one caller of ``hermite_rows``.
+no Hermite pass on the way out.  ``_hermite_completed`` is the one caller
+of ``hermite_rows``, with the ``n`` times coordinate vectors added over
+``Z/n``; it serves ``flow_up_normalize``, whose generators may be any, and
+``spline_set``, which enumerates over the Howell rows it leaves.
 Every other step is the same on every ring: the Hermite core and
 ``membership`` compute with ``+ - * divmod`` (and ``//``, ``%``) on ints
 and univariate ``Poly``s alike, and read the ring only for units
@@ -81,7 +90,9 @@ the trace's recorded start matrix, runs it to yield each step's rows;
 
 from __future__ import annotations
 
+import gc
 from dataclasses import FrozenInstanceError, dataclass
+from functools import wraps
 from itertools import compress
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -109,6 +120,33 @@ from .rings import (
 from .rings import gcd as ring_gcd
 
 _ENUMERATION_GUARD = 10**7
+
+
+def _collector_paused(fn):
+    """``fn`` with the cyclic garbage collector off while it runs.
+
+    CPython counts every container it allocates toward a collection, one
+    every 700 by default, so an enumeration that builds a million tuples
+    runs over a thousand collections that scan the young objects and find
+    nothing: a tuple of ints or ``Residue``s, a ``Residue`` and a
+    ``Spline`` on its graph form no cycle, and reference counting frees
+    them.  The collector is switched back on, in a ``finally``, only if it
+    was on at entry, so a caller's ``gc.disable()`` and nested calls are
+    respected.
+    """
+
+    @wraps(fn)
+    def run(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return run
+
 
 Vector = Tuple[RingElement, ...]
 
@@ -429,6 +467,9 @@ def hermite_rows(rows: Iterable[Vector], width: int, ring: RingDescriptor):
     second row that comes out is zero up to ``col`` and is filed again
     from ``col + 1``, so no column rescans rows that are zero there.  The
     folded row then becomes a pivot row (``_add_pivot_row``).
+
+    The one caller is ``_hermite_completed``, for ``flow_up_normalize`` and
+    ``spline_set``; the solvers' rows are canonical without it.
     """
     buckets: List[List[Vector]] = [[] for _ in range(width)]
     for r in rows:
@@ -446,6 +487,25 @@ def hermite_rows(rows: Iterable[Vector], width: int, ring: RingDescriptor):
         _add_pivot_row(fixed, acc, col, ring)
         pivots.append(col)
     return tuple(fixed), tuple(pivots)
+
+
+def _hermite_completed(rows: Sequence[Vector], width: int, ring: RingDescriptor):
+    """``hermite_rows`` over ``work_ring(ring)`` of ``rows``, given in the
+    work ring; over ``Z/n`` they are completed by ``n`` times each
+    coordinate vector first.
+
+    Over ``Z/n`` the completed lattice is the full integer preimage of the
+    residue module the rows span, so it has full rank: its canonical rows are
+    ``width`` rows with pivots ``d`` dividing ``n``, and a row of pivot
+    ``n`` is ``n`` times its coordinate vector (its other entries are
+    reduced below later pivots that divide ``n``).  The other rows are a
+    Howell basis of the residue module.  ``flow_up_normalize`` and
+    ``spline_set`` call this; the solvers' rows need no pass.
+    """
+    if ring.kind == MODINT:
+        n = ring.modulus
+        rows = list(rows) + [tuple(n if j == i else 0 for j in range(width)) for i in range(width)]
+    return hermite_rows(rows, width, work_ring(ring))
 
 
 def _sweep(
@@ -730,6 +790,7 @@ def replay_trace(g: EdgeLabeledGraph, trace: LimitTrace) -> Tuple[Vector, ...]:
 # brute force enumeration over residue rings
 
 
+@_collector_paused
 def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
     """The value tuples, in ``g.vertices`` order, of every labeling over a
     residue ring passing the congruence check.
@@ -742,6 +803,7 @@ def bruteforce_values(g: EdgeLabeledGraph) -> List[Tuple[int, ...]]:
     return _bruteforce_rows(g, residues=False)
 
 
+@_collector_paused
 def enumerate_bruteforce(g: EdgeLabeledGraph) -> List[Spline]:
     """``bruteforce_values`` as ``Spline``s, in the same order.
 
@@ -835,17 +897,22 @@ def _admit(prefixes, at, ones, lift):
     ]
 
 
+@_collector_paused
 def spline_set(module: SplineModule) -> frozenset:
     """All value tuples spanned by a residue-ring module's rows.
 
-    The span is built as a sum of cyclic subgroups of ``(Z/n)^|V|``:
-    ``S_0 = {0}`` and ``S_{i+1} = S_i + {c*r_i : 0 <= c < ord(r_i)}``.
-    ``S_i + c*r_i`` repeats ``S_i`` once ``c*r_i`` lies in ``S_i``, so ``c``
-    stops at the least such positive multiple, a divisor of ``ord(r_i)``,
-    and the translates it passes are disjoint.  Only the rows are read, as
-    generators; neither the pivots nor any Hermite structure is assumed,
-    so the set is right for any generating rows and independent of the
-    solver that produced them.
+    Only the rows are read, as generators; neither the pivots nor any
+    Hermite structure is assumed, so the set is right for any generating
+    rows and independent of the solver that produced them.  Their Howell
+    rows (Storjohann-Mulders) come from ``_hermite_completed``: the
+    canonical integer rows of the span's full preimage, with ``n`` times
+    each coordinate vector, less the rows of pivot ``n``.  Each kept row
+    ``h`` has a pivot ``d`` dividing ``n``, and every element of the span
+    is ``sum c_h*h`` modulo ``n`` for exactly one choice of
+    ``0 <= c_h < n/d``: at the first column where two choices differ the
+    difference is ``(c_h - c_h')*d``, not a multiple of ``n``.  So the
+    enumeration emits each of the ``prod(n/d)`` elements once, one list of
+    values per coordinate, and builds no set until the last.
 
     Guarded at ``n^rank <= 10**7``.
     """
@@ -855,21 +922,20 @@ def spline_set(module: SplineModule) -> frozenset:
     n = g.ring.modulus
     if n ** module.rank > _ENUMERATION_GUARD:
         raise TooLarge("the spanned set exceeds the enumeration guard")
-    if not module.vertex_order:
+    width = len(module.vertex_order)
+    if not width:
         return frozenset({()})
-    # The span, one list of values per coordinate; the translates added
-    # for a row are disjoint from each other, so no tuple repeats.
-    columns = [[0] for _ in module.vertex_order]
-    for row in module.rows:
-        r = [x.value for x in row]
-        span = set(zip(*columns))
-        step = tuple(r)
-        grown = [list(col) for col in columns]
-        while step not in span:
-            for col, out, t in zip(columns, grown, step):
-                out.extend([(x + t) % n for x in col])
-            step = tuple([(a + b) % n for a, b in zip(step, r)])
-        columns = grown
+    rows, pivots = _hermite_completed(_lift_rows(module.rows, g.ring), width, g.ring)
+    columns = [[0] for _ in range(width)]
+    for row, p in zip(rows, pivots):
+        k = n // row[p]  # the row's order; 1 for n times a coordinate vector
+        if k == 1:
+            continue
+        # The span so far, translated by each multiple c*row, c < k.
+        columns = [
+            [(x + t) % n for t in range(0, k * step, step) for x in col] if step else col * k
+            for col, step in zip(columns, row)
+        ]
     return frozenset(zip(*columns))
 
 
@@ -884,11 +950,10 @@ def flow_up_normalize(
 ) -> SplineModule:
     """Hermite-reduce a generator list to the canonical flow-up basis.
 
-    The generators may be any splines, so this is the one caller of
-    ``hermite_rows``.  Over ``Z/n`` their integer lifts are completed by
-    ``n`` times each coordinate vector before the pass, which makes the
-    integer rows those of the residue module's full preimage, as
-    ``_canonical`` expects.
+    The generators may be any splines, so their values, lifted to the work
+    ring, take the Hermite pass of ``_hermite_completed``, which over
+    ``Z/n`` first adds ``n`` times each coordinate vector, as ``_canonical``
+    expects.
     """
     if graph is None:
         if not generators:
@@ -898,10 +963,7 @@ def flow_up_normalize(
     ring = work_ring(graph.ring)
     _require_euclidean_ring(ring, "flow-up normalization")
     rows = [tuple(_lift_value(s.values[v], graph.ring) for v in order) for s in generators]
-    if graph.ring.kind == MODINT:
-        n = graph.ring.modulus
-        rows += [tuple(n if j == i else 0 for j in range(len(order))) for i in range(len(order))]
-    return _canonical(graph, order, hermite_rows(rows, len(order), ring)[0])
+    return _canonical(graph, order, _hermite_completed(rows, len(order), graph.ring)[0])
 
 
 def localize_module(module: SplineModule, invert) -> SplineModule:

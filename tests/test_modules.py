@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import pathlib
@@ -812,6 +813,63 @@ def test_spline_set_of_rows_not_in_hermite_form():
     assert spline_set(module) == product_span(rows, 12, 3)
 
 
+def test_spline_set_completes_rows_that_lack_the_howell_property():
+    """Over ``Z/8`` the row ``(4, 1)`` has pivot 4, so ``n/p = 2``, yet its
+    multiples are 8 tuples: ``2*(4, 1) = (0, 2)`` is a row of pivot 2 that
+    the one row does not show.  Counting ``n/p`` multiples of the given row
+    would give 2 tuples; the Howell rows ``(4, 1), (0, 2)`` give ``2 * 4``."""
+    g = EdgeLabeledGraph(RingDescriptor.residues(8), ("u", "v"), ())
+    module = SplineModule(g, g.vertices, ((Residue(4, 8), Residue(1, 8)),), (0,))
+    expected = frozenset((4 * c % 8, c) for c in range(8))
+    assert spline_set(module) == expected == product_span([(4, 1)], 8, 2)
+    assert len(expected) == 8
+    assert modules._hermite_completed([(4, 1)], 2, g.ring) == (((4, 1), (0, 2)), (0, 1))
+    assert modules._hermite_completed([], 2, g.ring) == (((8, 0), (0, 8)), (0, 1))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_enumerations_leave_the_collector_as_they_found_it(enabled, monkeypatch):
+    """Each enumeration pauses the cyclic collector while it runs and
+    restores the state it found, also when it raises ``TooLarge``."""
+    g = reduce_mod(int_graph(["u", "v", "w"], [("u", "v", 2), ("v", "w", 3)]), 12)
+    wide = reduce_mod(int_graph([f"v{i}" for i in range(9)], []), 8)  # 8^9 > 10^7
+    ring = RingDescriptor.residues(8)
+    tall = SplineModule(
+        EdgeLabeledGraph(ring, ("v",), ()), ("v",), ((Residue(1, 8),),) * 9, (0,) * 9
+    )
+    was = gc.isenabled()
+    seen = []
+
+    def spy(name):
+        real = getattr(modules, name)
+
+        def run(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(modules, name, run)
+
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for fn, arg in ((spline_set, solve_direct(g)), (bruteforce_values, g), (enumerate_bruteforce, g)):
+            assert len(fn(arg)) == 12 * 6 * 4
+            assert gc.isenabled() is enabled
+        for fn, arg in ((bruteforce_values, wide), (enumerate_bruteforce, wide), (spline_set, tall)):
+            with pytest.raises(TooLarge):
+                fn(arg)
+            assert gc.isenabled() is enabled
+        # Inside, the collector is off.
+        spy("_bruteforce_rows")
+        spy("_hermite_completed")
+        bruteforce_values(g)
+        enumerate_bruteforce(g)
+        spline_set(solve_direct(g))
+        assert seen == [False, False, False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 @st.composite
 def residue_graphs(draw):
     n = draw(st.integers(2, 12))
@@ -1269,8 +1327,10 @@ def test_the_walk_follows_any_vertex_order(case):
 def test_the_solvers_run_no_hermite_pass(g, monkeypatch):
     """The walk's rows leave as the module, so neither solver calls
     ``hermite_rows``, in the default or the reversed order, over ``Int``,
-    ``Q[x]`` or ``Z/n`` with zero labels; ``flow_up_normalize``, whose
-    generators may be any, is its one caller in the package."""
+    ``Q[x]`` or ``Z/n`` with zero labels.  Its one caller in the package is
+    ``_hermite_completed``, which serves ``flow_up_normalize``, whose
+    generators may be any, and ``spline_set``, which enumerates over Howell
+    rows."""
     calls = []
 
     def spy(*args):
@@ -1284,15 +1344,23 @@ def test_the_solvers_run_no_hermite_pass(g, monkeypatch):
     assert calls == []
     assert flow_up_normalize(direct.basis, order, g) == direct
     assert len(calls) == 1
-    callers = {
-        fn.name
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
         for path in pathlib.Path(modules.__file__).parent.glob("*.py")
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(fn, ast.FunctionDef)
-        for call in ast.walk(fn)
-        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "hermite_rows"
-    }
-    assert callers == {"flow_up_normalize"}
+    ]
+
+    def callers(name):
+        return {
+            fn.name
+            for tree in trees
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+        }
+
+    assert callers("hermite_rows") == {"_hermite_completed"}
+    assert callers("_hermite_completed") == {"flow_up_normalize", "spline_set"}
 
 
 # --- membership against the plain reference ------------------------------------------
