@@ -63,20 +63,24 @@ Bases are kept in flow-up (Hermite) form with respect to a fixed vertex
 order: row ``i`` vanishes on the vertices before its pivot, pivots are
 normalized associates, and entries above a pivot are reduced modulo it.
 That form is unique, which makes golden tests possible, and it lets the
-Hermite core take whatever route costs least to reach it:
+Hermite core take whatever route costs least to reach it.  Kernels and
+spans run one elimination pass:
 
-* ``hermite_rows`` files each row under its leading column and touches a
-  row again only when a combination changed it,
-* ``_row_combine`` eliminates with one subtraction when one value divides
-  the other, and uses the extended-gcd transform otherwise; the values are
-  pivot entries in ``hermite_rows`` and edge differences in ``_sweep``,
+* ``_sweep`` goes up the rows once for one linear form, an edge
+  difference ``r[a] - r[b]`` or a column entry ``r[a]``: it keeps the rows
+  of the form's kernel modulo a generator and returns the one row it
+  carries, whose value generates the form's image,
 * ``_impose`` cuts a triangular module down by edge congruences (all of a
-  graph's chords, or one equalizer's edge) with one ``_sweep`` up the
-  rows per congruence, which carries one Bezout row and keeps the module
-  triangular on its pivot columns,
+  graph's chords, or one equalizer's edge) with one ``_sweep`` per
+  congruence, which keeps the module triangular on its pivot columns,
+* ``hermite_rows`` sweeps each column over the zero generator: the rows
+  kept go on to the next column, and the row carried is that column's
+  pivot row,
+* ``_row_combine``, inside ``_sweep``, eliminates with one subtraction
+  when one value divides the other, and uses the extended-gcd transform
+  otherwise,
 * ``_add_pivot_row`` normalizes a pivot and reduces the entries above it,
-  for ``hermite_rows`` after each column and for ``_impose`` once at the
-  end,
+  in ``_impose``'s one finishing pass, which ``hermite_rows`` ends with too,
 * a leaf pullback in ``_step`` starts from a canonical basis, so only the
   new column needs reducing, modulo the normalized edge generator; the
   step records just that column and the adjoined row.
@@ -95,7 +99,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import wraps
 from itertools import compress
 from math import lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalError, InvalidValue, TooLarge, UnsupportedRing
 from .graphs import Edge, EdgeLabeledGraph
@@ -411,8 +415,8 @@ def _row_combine(r1: Vector, r2: Vector, a: RingElement, b: RingElement, ring: R
     """Unimodular 2x2 transform of two rows on which one linear form takes
     the nonzero values ``a`` and ``b``: returns ``(g, r, z)`` with ``g`` a
     gcd of ``a`` and ``b``, ``r`` a row of value ``g`` and ``z`` a row of
-    value zero.  The form is a column in ``hermite_rows`` and an edge
-    difference in ``_sweep``.
+    value zero.  ``_sweep`` is the one caller: the form is an edge
+    difference for ``_impose`` and a column for ``hermite_rows``.
 
     When one value divides the other, the transform is one elimination:
     the row with the dividing value is kept and the other row loses a
@@ -435,8 +439,9 @@ def _row_combine(r1: Vector, r2: Vector, a: RingElement, b: RingElement, ring: R
 
 def _add_pivot_row(fixed: List[Vector], row: Vector, col: int, ring: RingDescriptor) -> None:
     """Normalize ``row`` at its pivot ``col``, reduce the entries of the
-    ``fixed`` rows above it modulo that pivot, and append it.  Reducing
-    above a pivot changes only the earlier rows, at and after ``col``."""
+    ``fixed`` rows above it modulo that pivot, and append it: one step of
+    ``_impose``'s finishing pass.  Reducing above a pivot changes only the
+    earlier rows, at and after ``col``."""
     u = unit_part(row[col], ring)
     if u != 1:
         inv = rational_quotient(1, u)
@@ -450,43 +455,27 @@ def _add_pivot_row(fixed: List[Vector], row: Vector, col: int, ring: RingDescrip
     fixed.append(row)
 
 
-def _file_row(buckets: List[List[Vector]], row: Vector, start: int) -> None:
-    """Append ``row`` to the bucket of its first nonzero column at or after
-    ``start``; a row that is zero there is dropped."""
-    for col in range(start, len(buckets)):
-        if row[col]:
-            buckets[col].append(row)
-            return
-
-
-def hermite_rows(rows: Iterable[Vector], width: int, ring: RingDescriptor):
+def hermite_rows(rows: Sequence[Vector], width: int, ring: RingDescriptor):
     """Canonical row Hermite form; returns ``(rows, pivots)`` without zero rows.
 
-    Every row is filed once in the bucket of its leading column.  Column
-    ``col`` folds its bucket into one row with ``_row_combine``; each
-    second row that comes out is zero up to ``col`` and is filed again
-    from ``col + 1``, so no column rescans rows that are zero there.  The
-    folded row then becomes a pivot row (``_add_pivot_row``).
+    Column ``col`` is one ``_sweep`` over the zero generator with the form
+    "the entry at ``col``": the rows it keeps are zero there, and the row
+    it carries, if any, holds a gcd of the column's entries and is zero
+    before ``col``, so it is that column's pivot row.  The kept rows go on
+    to the next column.  ``_impose``'s finishing pass then normalizes the
+    pivot rows and reduces above them.
 
     The one caller is ``_hermite_completed``, for ``flow_up_normalize`` and
     ``spline_set``; the solvers' rows are canonical without it.
     """
-    buckets: List[List[Vector]] = [[] for _ in range(width)]
-    for r in rows:
-        _file_row(buckets, tuple(r), 0)
-    fixed: List[Vector] = []
+    leads: List[Vector] = []
     pivots: List[int] = []
-    for col, carrying in enumerate(buckets):
-        if not carrying:
-            continue
-        acc = carrying[0]
-        for r in carrying[1:]:
-            _, acc, r2 = _row_combine(acc, r, acc[col], r[col], ring)
-            _file_row(buckets, r2, col + 1)
-        carrying.clear()  # free the folded rows before the next column
-        _add_pivot_row(fixed, acc, col, ring)
-        pivots.append(col)
-    return tuple(fixed), tuple(pivots)
+    for col in range(width):
+        rows, lead = _sweep(rows, width, col, None, ring.zero(), ring)
+        if lead is not None:
+            leads.append(lead)
+            pivots.append(col)
+    return _impose(leads, width, (), ring), tuple(pivots)
 
 
 def _hermite_completed(rows: Sequence[Vector], width: int, ring: RingDescriptor):
@@ -500,7 +489,10 @@ def _hermite_completed(rows: Sequence[Vector], width: int, ring: RingDescriptor)
     ``n`` is ``n`` times its coordinate vector (its other entries are
     reduced below later pivots that divide ``n``).  The other rows are a
     Howell basis of the residue module.  ``flow_up_normalize`` and
-    ``spline_set`` call this; the solvers' rows need no pass.
+    ``spline_set`` call this; the solvers' rows need no pass.  The pass is
+    the solvers' own elimination all the same: ``hermite_rows`` runs
+    ``_sweep`` per column and ``_impose``'s finishing pass, over ``Int``
+    here for every ``Z/n``.
     """
     if ring.kind == MODINT:
         n = ring.modulus
@@ -509,29 +501,33 @@ def _hermite_completed(rows: Sequence[Vector], width: int, ring: RingDescriptor)
 
 
 def _sweep(
-    rows: Sequence[Vector], width: int, a: int, b: int, gen: RingElement, ring: RingDescriptor
-) -> List[Vector]:
-    """Triangular rows of ``{r in span(rows) : gen | r[a] - r[b]}`` for
-    triangular ``rows``, each with the pivot column of the row it came from;
-    a zero ``gen`` means ``r[a] = r[b]``.  Pivots are left unnormalized and
-    entries above them unreduced.
+    rows: Sequence[Vector], width: int, a: int, b: Optional[int], gen: RingElement, ring: RingDescriptor
+) -> Tuple[List[Vector], Optional[Vector]]:
+    """The rows of ``{r in span(rows) : gen | f(r)}`` for the form
+    ``f(r) = r[a] - r[b]``, or ``f(r) = r[a]`` when ``b`` is ``None``, and
+    the row the pass carries; a zero ``gen`` means ``f(r) = 0``.  Pivots
+    are left unnormalized and entries above them unreduced.
 
     One pass from the last row up carries a gcd ``G`` and a row ``B`` of the
-    rows passed, with ``B[a] - B[b] = G`` modulo ``gen``; ``G`` generates
-    the ideal of ``gen`` and those rows' differences, so it starts as
-    ``gen`` with ``B`` zero.  A row ``r`` whose difference ``c`` is zero is kept; otherwise
-    ``_row_combine`` of ``r`` and ``B`` keeps the combination of difference
+    rows passed, with ``f(B) = G`` modulo ``gen``; ``G`` generates the ideal
+    of ``gen`` and those rows' values, so it starts as ``gen`` with ``B``
+    zero.  A row ``r`` whose value ``c`` is zero is kept; otherwise
+    ``_row_combine`` of ``r`` and ``B`` keeps the combination of value
     zero, ``r - (c/G)*B`` when ``G | c``, and carries the other as ``B``
     with the gcd as ``G``.  Over a zero ``gen`` the lowest row of nonzero
-    difference has no partner: it leaves the module and starts ``B``.  Each
-    kept row is ``r`` times a nonzero element plus rows below it, so the
-    kernel is triangular on the same pivots, less the row that left.
+    value has no partner: it starts ``B``, which is ``None`` until then.
+    ``B`` and the kept rows span the rows, and ``f`` is zero on every kept
+    row, so over a zero ``gen`` they span the kernel of ``f`` and ``B``,
+    of value ``G``, leaves the module: it is one Hermite column step when
+    ``f`` is a column (``hermite_rows``).  For triangular ``rows`` each kept
+    row is ``r`` times a nonzero element plus rows below it, so the kernel
+    is triangular on the same pivots, less the row that left.
     """
     kept: List[Vector] = []
     G = gen
     B = (ring.zero(),) * width if gen else None
     for r in reversed(rows):
-        c = r[a] - r[b]
+        c = r[a] if b is None else r[a] - r[b]
         if c and gen:
             c %= gen
         if not c:
@@ -542,7 +538,7 @@ def _sweep(
             G, B, r = _row_combine(r, B, c, G, ring)
             kept.append(r)
     kept.reverse()
-    return kept
+    return kept, B
 
 
 def _impose(
@@ -564,7 +560,7 @@ def _impose(
     neither a sweep nor the finishing pass changed is returned as it is.
     """
     for a, b, gen in constraints:
-        rows = _sweep(rows, width, a, b, gen, ring)
+        rows, _ = _sweep(rows, width, a, b, gen, ring)
     fixed: List[Vector] = []
     col = 0
     for row in rows:

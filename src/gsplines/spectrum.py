@@ -10,7 +10,8 @@ structure, not a claim about scheme topology.  Every report field derives
 from the gluing links alone, in one builder.
 
 Zero-ideal labels identify their endpoints everywhere: they glue in every
-fiber and contribute a single generic link.
+fiber and contribute a single generic link.  Residue rings are refused
+(``UnsupportedRing``): their labels' factors are not primes of the ring.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .errors import UnrelatedGraphs
+from .errors import UnrelatedGraphs, UnsupportedRing
 from .graphs import EdgeLabeledGraph, _partition, contract_edge, contracted_vertex
 from .graphs import delete_edge, delete_vertex, restrict
 from .rings import (
+    MODINT,
     Factor,
     RingDescriptor,
     RingElement,
@@ -79,6 +81,12 @@ def fiber_over(g: EdgeLabeledGraph, p: Union[Factor, RingElement]):
 
 
 def _links_of(g: EdgeLabeledGraph) -> List[Link]:
+    """One link per (edge, factor) incidence, or one generic link for a zero
+    label.  A residue ring is refused: there a factor of a label need not be
+    prime (``4`` in ``Z/12``), and one label's ideal may contain another's
+    (``4`` lies in ``(2)``), so links per factor would misstate the fibers."""
+    if g.ring.kind == MODINT:
+        raise UnsupportedRing("spectrum reports are not defined over residue rings")
     links: List[Link] = []
     for e in g.edges:
         if e.label.is_zero:

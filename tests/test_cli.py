@@ -725,8 +725,12 @@ def test_spectrum_over_a_localized_ring_skips_inverted_factors(capsys):
         (("restrict", "--invert", "5"), "residue rings cannot be localized"),
         (("cover", "--opens", "OPENS"), "covers are checked over integer or polynomial rings"),
         (("certify", "--opens", "OPENS"), "restrictions are not defined over residue rings"),
+        # Over Z/12 a label's factor need not be prime (the fixture's 4), so
+        # no fiber is reported per factor.
+        (("spectrum",), "spectrum reports are not defined over residue rings"),
+        (("delete-edge", "--edge", "a,b", "--emit-diff"), "spectrum reports are not defined over residue rings"),
     ],
-    ids=["restrict", "cover", "certify"],
+    ids=["restrict", "cover", "certify", "spectrum", "delete-edge-diff"],
 )
 def test_residue_ring_refusals(capsys, tmp_path, argv, message):
     # Each operation refuses a residue ring once, with exit 1.

@@ -1084,6 +1084,22 @@ def test_hermite_rows_match_reference(case):
     assert hermite_rows(rows, width, ring) == reference_hermite_rows(rows, width, ring)
 
 
+@settings(max_examples=300, deadline=None)
+@given(hermite_inputs(ZZ), st.sampled_from([2, 6, 8, 9, 12, 30]))
+# The Howell example: (4, 1) over Z/8 spans (0, 2) too.
+@example((ZZ, 2, [(4, 1)]), 8)
+def test_residue_hermite_matches_reference(case, n):
+    """Over ``Z/n`` the one Hermite pass runs on the residue rows completed
+    by ``n`` times each coordinate vector: ``_hermite_completed`` of the
+    rows' representatives is the reference form, over ``Int``, of those
+    representatives and the ``n*e_i``."""
+    _, width, rows = case
+    rows = [tuple(x % n for x in row) for row in rows]
+    full = rows + [tuple(n if j == i else 0 for j in range(width)) for i in range(width)]
+    completed = modules._hermite_completed(rows, width, RingDescriptor.residues(n))
+    assert completed == reference_hermite_rows(full, width, ZZ)
+
+
 @st.composite
 def canonical_modules(draw):
     """A canonical module over Int, Q[x] or (lifted) Z/n, and a strategy
@@ -1330,7 +1346,9 @@ def test_the_solvers_run_no_hermite_pass(g, monkeypatch):
     ``Q[x]`` or ``Z/n`` with zero labels.  Its one caller in the package is
     ``_hermite_completed``, which serves ``flow_up_normalize``, whose
     generators may be any, and ``spline_set``, which enumerates over Howell
-    rows."""
+    rows.  Kernels and spans share one elimination pass: ``hermite_rows``
+    sweeps each column as ``_impose`` sweeps each congruence, and only
+    ``_impose`` finishes the pivots."""
     calls = []
 
     def spy(*args):
@@ -1361,6 +1379,11 @@ def test_the_solvers_run_no_hermite_pass(g, monkeypatch):
 
     assert callers("hermite_rows") == {"_hermite_completed"}
     assert callers("_hermite_completed") == {"flow_up_normalize", "spline_set"}
+    # One elimination pass: a Hermite column is a sweep over the zero
+    # generator, and the finishing pass that normalizes pivots is _impose's.
+    assert callers("_sweep") == {"_impose", "hermite_rows"}
+    assert callers("_row_combine") == {"_sweep"}
+    assert callers("_add_pivot_row") == {"_impose"}
 
 
 # --- membership against the plain reference ------------------------------------------
