@@ -157,27 +157,70 @@ def normalize(
     return EdgeLabeledGraph(ring, vertices, tuple(out))
 
 
-def _partition(vertices: Sequence[str], pairs: Iterable[Tuple[str, str]]):
-    """Connected classes of the relation generated by ``pairs``; classes are
-    ordered by first vertex, members in declaration order."""
-    parent = {v: v for v in vertices}
+Classes = Tuple[Tuple[str, ...], ...]
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
 
+def _coarsen(
+    classes: Classes,
+    class_of: Dict[str, int],
+    position: Dict[str, int],
+    pairs: Iterable[Tuple[str, str]],
+) -> Classes:
+    """Merge the classes that ``pairs`` join.
+
+    ``classes`` are ordered by first vertex with members in declaration
+    order; ``class_of`` maps a vertex to its class's index and ``position``
+    to its declaration index.  The union-find runs over class indices and
+    visits only the classes a pair touches: each class joins the earlier
+    one, so a merged class keeps the slot of its first class, members
+    re-sorted by declaration index.  The other slots it absorbed are
+    deleted, and every class no pair joined is the same tuple as before.
+    """
+    parent: Dict[int, int] = {}  # a joined class -> an earlier class; roots are absent
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    # A class is created when its first vertex is met, so the dict keeps
-    # the classes in order of their first vertex.
-    classes: Dict[str, List[str]] = {}
-    for v in vertices:
-        classes.setdefault(find(v), []).append(v)
-    return tuple(tuple(c) for c in classes.values())
+        i, j = class_of[a], class_of[b]
+        while i in parent:  # path halving: each step skips to the grandparent
+            up = parent[i]
+            up = parent[i] = parent.get(up, up)
+            i = up
+        while j in parent:
+            up = parent[j]
+            up = parent[j] = parent.get(up, up)
+            j = up
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+    if not parent:
+        return classes
+    absorbed = sorted(parent)  # a parent comes before its children
+    groups: Dict[int, List[int]] = {}
+    for k in absorbed:
+        up = parent[k]
+        root = parent[k] = parent.get(up, up)
+        groups.setdefault(root, [root]).append(k)
+    out = list(classes)
+    for root, merged in groups.items():
+        members: List[str] = []
+        for k in merged:
+            members += classes[k]
+        members.sort(key=position.__getitem__)
+        out[root] = tuple(members)
+    kept: List[Tuple[str, ...]] = []
+    start = 0
+    for k in absorbed:
+        kept += out[start:k]
+        start = k + 1
+    kept += out[start:]
+    return tuple(kept)
+
+
+def _partition(vertices: Sequence[str], pairs: Iterable[Tuple[str, str]]) -> Classes:
+    """Connected classes of the relation generated by ``pairs``; classes are
+    ordered by first vertex, members in declaration order.  The singleton
+    classes coarsened by ``pairs``."""
+    position = {v: i for i, v in enumerate(vertices)}
+    return _coarsen(tuple((v,) for v in vertices), position, position, pairs)
 
 
 def connected_components(g: EdgeLabeledGraph) -> List[EdgeLabeledGraph]:

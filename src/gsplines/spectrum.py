@@ -9,6 +9,12 @@ multigraph; it is an artifact-level first Betti number of the gluing
 structure, not a claim about scheme topology.  Every report field derives
 from the gluing links alone, in one builder.
 
+A report partitions the vertices once, by the generic links; every
+fiber, and the component count, coarsens that partition by the other
+links (``graphs._coarsen``), visiting only the classes they join.  A report
+thus costs one pass over the vertices, plus for each factor a copy of the
+class list and work on the classes its links join.
+
 Zero-ideal labels identify their endpoints everywhere: they glue in every
 fiber and contribute a single generic link.  Residue rings are refused
 (``UnsupportedRing``): their labels' factors are not primes of the ring.
@@ -18,10 +24,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import UnrelatedGraphs, UnsupportedRing
-from .graphs import EdgeLabeledGraph, _partition, contract_edge, contracted_vertex
+from .graphs import EdgeLabeledGraph, _coarsen, _partition, contract_edge, contracted_vertex
 from .graphs import delete_edge, delete_vertex, restrict
 from .rings import (
     MODINT,
@@ -102,22 +109,24 @@ def _report(
 ) -> SpectrumReport:
     """The report read off gluing links alone.
 
-    The fiber at a factor is the partition by its links plus the generic
-    ones, factors in ``canonical_key`` order; the generic links alone give
-    the generic points, and all links the components and the hole count.
+    The generic links give the generic partition, the one partition built
+    vertex by vertex.  The fiber at a factor coarsens it by that factor's
+    links, factors in ``canonical_key`` order, and the components coarsen
+    it by every other link.  The hole count is the cycle rank of all the
+    links.
     """
-    everywhere: List[Tuple[str, str]] = []
-    glued: Dict[RingElement, List[Tuple[str, str]]] = {}
+    glued: Dict[Union[RingElement, str], List[Tuple[str, str]]] = {}
     for a, b, p in links:
-        if p == GENERIC:
-            everywhere.append((a, b))
-        else:
-            glued.setdefault(p, []).append((a, b))
+        glued.setdefault(p, []).append((a, b))
+    everywhere = glued.pop(GENERIC, [])
+    generic = _partition(vertices, everywhere)
+    position = {v: i for i, v in enumerate(vertices)}
+    class_of = {v: i for i, c in enumerate(generic) for v in c}
     fibers = {
-        p: _partition(vertices, everywhere + glued[p])
+        p: _coarsen(generic, class_of, position, glued[p])
         for p in sorted(glued, key=canonical_key)
     }
-    components = len(_partition(vertices, [(a, b) for a, b, _ in links]))
+    components = len(_coarsen(generic, class_of, position, chain.from_iterable(glued.values())))
     return SpectrumReport(
         vertices=vertices,
         ring=ring,
@@ -127,7 +136,7 @@ def _report(
         fully_glued_pairs=tuple(everywhere),
         hole_count=len(links) - len(vertices) + components,
         components=components,
-        generic_points=len(_partition(vertices, everywhere)),
+        generic_points=len(generic),
     )
 
 
@@ -206,7 +215,10 @@ def _infer_operation(before: EdgeLabeledGraph, after: EdgeLabeledGraph) -> Tuple
     bv, av = set(before.vertices), set(after.vertices)
     op, result = None, None
     if bv == av:
-        removed = [e for e in before.edges if after.edge_between(e.a, e.b) is None]
+        kept = {(e.a, e.b) for e in after.edges}
+        removed = [
+            e for e in before.edges if (e.a, e.b) not in kept and (e.b, e.a) not in kept
+        ]
         if len(removed) == 1:
             (e,) = removed
             op, result = ("delete-edge", e.a, e.b), delete_edge(before, e.a, e.b)
@@ -246,8 +258,9 @@ def spectrum_diff(before: EdgeLabeledGraph, after: EdgeLabeledGraph) -> Spectrum
         lines.append(f"operation: contract {op[1]}-{op[2]}")
         lines.append(f"vertices identified: {op[1]}, {op[2]} -> {op[3]}")
 
-    removed_links = Counter(rb.links) - Counter(ra.links)
-    added_links = Counter(ra.links) - Counter(rb.links)
+    links_before, links_after = Counter(rb.links), Counter(ra.links)
+    removed_links = links_before - links_after
+    added_links = links_after - links_before
     for (a, b, p), count in sorted(removed_links.items(), key=repr):
         tag = _format_factor_key(p, ring)
         for _ in range(count):
@@ -258,8 +271,11 @@ def spectrum_diff(before: EdgeLabeledGraph, after: EdgeLabeledGraph) -> Spectrum
             lines.append(f"gluing added: {a}-{b} at {tag}")
 
     for p in sorted(rb.fibers.keys() | ra.fibers.keys(), key=canonical_key):
-        tb = _classes_text(rb.fibers[p]) if p in rb.fibers else "(absent)"
-        ta = _classes_text(ra.fibers[p]) if p in ra.fibers else "(absent)"
+        fb, fa = rb.fibers.get(p), ra.fibers.get(p)
+        if fb == fa:  # equal classes spell equal texts
+            continue
+        tb = "(absent)" if fb is None else _classes_text(fb)
+        ta = "(absent)" if fa is None else _classes_text(fa)
         if tb != ta:
             lines.append(f"fiber at {format_element(p, ring)}: {tb} -> {ta}")
 

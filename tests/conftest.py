@@ -140,14 +140,19 @@ def parse_factor(text, ring, multiplicity=1):
 
 
 @st.composite
-def factored_graphs(draw):
-    """A normalized graph over Int, Q[x] or Q[x,y] on 1-5 vertices whose
-    labels are zero (about one in six) or products of factors drawn, with
-    multiplicities 1-2, from ``FACTOR_TEXTS``; every factor is parsed
-    afresh, so equal factors are distinct objects."""
+def factored_graphs(draw, max_vertices=5, shuffled=False):
+    """A normalized graph over Int, Q[x] or Q[x,y] on 1 to ``max_vertices``
+    vertices whose labels are zero (about one in six) or products of
+    factors drawn, with multiplicities 1-2, from ``FACTOR_TEXTS``; every
+    factor is parsed afresh, so equal factors are distinct objects.  The
+    vertices are ``v0``, ``v1``, ... in that order, or with ``shuffled`` the
+    same names declared in a drawn order, so declaration order need not be
+    name order (from ten vertices on, ``v10`` sorts before ``v2``)."""
     ring = draw(st.sampled_from(list(FACTOR_TEXTS)))
     texts = FACTOR_TEXTS[ring]
-    vertices = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    if shuffled:
+        vertices = draw(st.permutations(vertices))
     edges = []
     for _ in range(draw(st.integers(0, 2 * len(vertices)))):
         a = draw(st.sampled_from(vertices))

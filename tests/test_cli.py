@@ -21,6 +21,7 @@ HEXCHAIN = fixture_path("hexchain.json")
 FOREST = fixture_path("forest.json")
 HEXPOLY = fixture_path("hexpoly.json")
 HEXPOLY_OPENS = fixture_path("hexpoly_opens.json")
+HEXPOLY_WITHOUT_A1_B1 = fixture_path("hexpoly_without_A1_B1.json")
 BIGINT_CYCLE = fixture_path("bigint_cycle.json")
 BIGCOEF_QX = fixture_path("bigcoef_qx.json")
 ZERO_CHORD = fixture_path("zero_chord.json")
@@ -640,6 +641,7 @@ def test_certify_hexpoly(capsys):
         (("verify", TRIANGLE, "--mod", "105"), "verify_triangle_105_golden.json"),
         (("cover", HEXPOLY, "--opens", HEXPOLY_OPENS), "cover_hexpoly_golden.json"),
         (("spectrum", LOCALIZED), "spectrum_localized_golden.json"),
+        (("delete-edge", HEXPOLY, "--edge", "A1,B1"), "hexpoly_without_A1_B1.json"),
     ],
 )
 def test_json_output_matches_golden_bytes(capsys, argv, golden):
@@ -655,6 +657,9 @@ def test_json_output_matches_golden_bytes(capsys, argv, golden):
         (("spectrum", HEXPOLY), "spectrum_hexpoly_golden.txt"),
         (("restrict", HEXPOLY, "--invert", "x-3,(x-10)^2+y^2-1"), "restrict_hexpoly_golden.txt"),
         (("contract", HEXPOLY, "--edge", "A1,B1", "--emit-diff"), "contract_hexpoly_golden.txt"),
+        (("delete-edge", HEXPOLY, "--edge", "A1,B1", "--emit-diff"), "delete_edge_hexpoly_golden.txt"),
+        (("delete-vertex", HEXPOLY, "--vertex", "A1", "--emit-diff"), "delete_vertex_hexpoly_golden.txt"),
+        (("diff", HEXPOLY, HEXPOLY_WITHOUT_A1_B1), "diff_hexpoly_golden.txt"),
     ],
 )
 def test_text_output_matches_golden_bytes(capsys, argv, golden):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 
@@ -20,7 +22,8 @@ from gsplines import (
     spectrum_diff,
     spectrum_report,
 )
-from gsplines.graphs import RestrictionOutcome, classify
+from gsplines import graphs, spectrum
+from gsplines.graphs import RestrictionOutcome, classify, connected_components
 from gsplines.rings import canonical_key
 from conftest import (
     FACTOR_TEXTS,
@@ -181,7 +184,7 @@ def associate(p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(factored_graphs())
+@given(st.one_of(factored_graphs(), factored_graphs(max_vertices=12, shuffled=True)))
 def test_fibers_match_canonical_key_reference(g):
     report = spectrum_report(g)
     keys = {canonical_key(f.element) for e in g.edges for f in e.label.factors}
@@ -193,6 +196,82 @@ def test_fibers_match_canonical_key_reference(g):
     for text in FACTOR_TEXTS[g.ring]:
         f = parse_factor(text, g.ring)
         assert fiber_over(g, f) == key_reference_fiber(g, f.element)
+
+
+def zero_labeled(g, edges):
+    """The graph on ``g``'s vertices whose edges are ``edges``, each with the
+    zero label, so ``key_reference_fiber`` at any element is their
+    connected classes."""
+    return EdgeLabeledGraph(
+        g.ring, g.vertices, tuple(Edge(e.a, e.b, FactoredElement.zero()) for e in edges)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_graphs(max_vertices=12, shuffled=True))
+def test_components_and_generic_points_match_the_reference(g):
+    report = spectrum_report(g)
+    anything = parse_factor(FACTOR_TEXTS[g.ring][0], g.ring).element
+    components = key_reference_fiber(zero_labeled(g, g.edges), anything)
+    assert tuple(c.vertices for c in connected_components(g)) == components
+    assert report.components == len(components)
+    generic = key_reference_fiber(zero_labeled(g, [e for e in g.edges if e.label.is_zero]), anything)
+    assert report.generic_points == len(generic)
+    for fiber in report.fibers.values():
+        # every fiber coarsens the generic partition
+        assert all(any(set(c) <= set(f) for f in fiber) for c in generic)
+
+
+def test_a_fiber_merges_generic_classes_in_declaration_order():
+    zero = FactoredElement.zero()
+    g = normalize(
+        ZZ,
+        ["q", "b", "z", "a", "m"],
+        [("q", "z", zero), ("b", "a", zero), ("a", "z", int_label(3)), ("m", "b", int_label(5))],
+    )
+    report = spectrum_report(g)
+    assert report.generic_points == 3
+    assert report.fibers[3] == (("q", "b", "z", "a"), ("m",))
+    assert report.fibers[5] == (("q", "z"), ("b", "a", "m"))
+    assert report.components == 1
+
+
+def first_primes(n):
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_a_report_partitions_the_vertices_once(monkeypatch):
+    """A report builds one partition vertex by vertex, the generic one: its
+    40 fibers and its components coarsen that partition, and
+    ``_partition`` itself is the coarsening of the singleton classes, with
+    no loop of its own."""
+    names = [f"c{i}" for i in range(40)]
+    g = int_graph(names, [(names[i], names[(i + 1) % 40], p) for i, p in enumerate(first_primes(40))])
+    calls = []
+
+    def spy(vertices, pairs):
+        calls.append(tuple(vertices))
+        return partition(vertices, pairs)
+
+    partition = graphs._partition
+    monkeypatch.setattr(graphs, "_partition", spy)
+    monkeypatch.setattr(spectrum, "_partition", spy)
+    report = spectrum_report(g)
+    assert calls == [g.vertices]
+    assert len(report.fibers) == 40
+    for p, fiber in report.fibers.items():
+        assert fiber == key_reference_fiber(g, p)
+    assert (report.components, report.hole_count, report.generic_points) == (1, 1, 40)
+    tree = ast.parse(inspect.getsource(partition))
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(tree))
+    called = {n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert "_coarsen" in called
 
 
 # --- base change ------------------------------------------------------------------
